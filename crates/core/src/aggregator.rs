@@ -17,39 +17,57 @@
 //! | [`AggregatorBuilder::new`] (quality model) | Eq. 4 reading quality `θ_{q,s}` (`d_max`) |
 //! | [`AggregatorBuilder::sensing_range`] | §4.4 sensing radius `r_s` for aggregate coverage `G_q` (Eq. 5) |
 //! | [`AggregatorBuilder::strategy`] = [`MixStrategy::Alg5`] | Algorithm 5: joint selection via Algorithm 1, payments by Eq. 11 |
-//! | [`AggregatorBuilder::strategy`] = [`MixStrategy::SequentialBaseline`] | §4.7 baseline: aggregates first, then point queries sequentially |
-//! | [`AggregatorBuilder::scheduler`] | §3.1 point schedulers (Eq. 9 exact / Local Search / baseline) for Algorithms 2–3 |
+//! | [`AggregatorBuilder::strategy`] = [`MixStrategy::SequentialBaseline`] | §4.7 baseline on every stage: desired-times monitor queries, raw costs, no sharing, set-valued queries one by one, then the baseline point scheduler |
+//! | [`AggregatorBuilder::strategy`] = [`MixStrategy::OnlineAuction`] | online double auction (arXiv:1608.04857) matching point queries at arrival, in front of the Algorithm 5 pipeline |
+//! | [`AggregatorBuilder::scheduler`] | §3.1 point schedulers (Eq. 9 exact / Local Search / baseline) as the point stage of Algorithms 2–3 |
 //! | [`AggregatorBuilder::cost_weighting`] | Eq. 18 shared-cost weighting `w(k)` for region planning |
 //! | [`AggregatorBuilder::sensor_sharing`] | Algorithm 3's `A_{r,t}` free-riding on sensors bought by other queries |
 //! | [`AggregatorBuilder::spatial_index`] | per-slot [`SensorIndex`] over the announcement (scaling only — selections are identical with and without it) |
-//! | [`AggregatorBuilder::threads`] | worker count for the parallel evaluate phases (scaling only — output is bit-identical for every count) |
+//! | [`AggregatorBuilder::threads`] | worker count for the parallel evaluate work (scaling only — output is bit-identical for every count) |
 //!
-//! With no dedicated scheduler, point queries of every origin are fed
-//! *jointly* with the aggregates to Algorithm 1 (the full Algorithm 5
-//! mix). With a scheduler, point queries go through it instead — this is
-//! how the monitoring experiments (§4.5, §4.6) compare `Alg2-O`,
-//! `Alg2-LS`, and the desired-times-only baseline.
+//! # The slot pipeline: gather → select → route → settle
 //!
-//! # The slot pipeline: gather → evaluate ∥ → select → settle
+//! Every slot is one pass of Algorithm 5 through four stages:
 //!
-//! Every [`Aggregator::step`] runs four phases. Two are embarrassingly
-//! parallel and shard across a [`Threads`] scoped worker pool; two own
-//! shared state and stay serial, consuming pre-computed per-shard
-//! inputs:
+//! 1. **gather** — drain the pending one-shot queries, build the slot's
+//!    [`SensorIndex`], and turn monitors into point queries: one per
+//!    location monitor (Algorithm 2), then the region monitors' plans
+//!    (Algorithms 3–4, over Eq. 18 weighted costs). Every point query
+//!    carries its [`QueryOrigin`].
+//! 2. **select** — choose and price sensors, either *jointly* (Algorithm
+//!    1 over every query at once) or *staged*: a set-valued stage for
+//!    aggregates and custom valuations, then the configured
+//!    [`PointScheduler`] over every point query, called once, with the
+//!    sensors the first stage bought cost-discounted to 0.
+//! 3. **route** — send each point answer back by its origin: an
+//!    end-user result, a location monitor's sample, or a region
+//!    monitor's satisfied list.
+//! 4. **settle** — payments into the [`Ledger`], monitor results, region
+//!    monitors free-riding on bought sensors with the Algorithm 5
+//!    refunds to the original payers, the report, and expiry.
 //!
-//! 1. **gather** *(serial)* — drain pending one-shot queries, build the
-//!    slot's [`SensorIndex`], translate location monitors into point
-//!    queries (Algorithm 2).
-//! 2. **evaluate** *(parallel)* — the per-query, read-only work: Eq. 18
-//!    weighted-cost accumulation, per-monitor region planning
-//!    (Algorithms 3–4), Algorithm 1 relevance lists and initial gains,
-//!    and the point schedulers' candidate/value evaluation. Shards cover
-//!    contiguous ranges; partials merge in ascending range order.
-//! 3. **select** *(serial)* — the adaptive greedy selection (Algorithm 1
-//!    / the configured [`PointScheduler`] argmax), where each pick
-//!    conditions the next.
-//! 4. **settle** *(serial)* — payments into the [`Ledger`], monitor
-//!    result application, the Algorithm 5 payment adjustment, expiry.
+//! [`AggregatorBuilder::build`] resolves the knobs into stage choices
+//! once:
+//!
+//! | Configuration | gather | select | settle |
+//! |---|---|---|---|
+//! | `Alg5` | opportunistic monitor queries, Eq. 18 costs | joint | sharing |
+//! | `Alg5` + scheduler | as above | Algorithm 1 set stage, then the scheduler | sharing |
+//! | `SequentialBaseline` | desired-times monitor queries, raw costs | sequential set stage, then [`BaselinePointScheduler`] or the configured scheduler | no sharing |
+//! | `OnlineAuction` | arrival-time matching first, then as `Alg5` | joint, over what is still open, bought sensors at cost 0 | sharing |
+//!
+//! `cost_weighting(false)` and `sensor_sharing(false)` turn Eq. 18 and
+//! sharing off in the other rows; `OnlineAuction` with a scheduler is
+//! rejected by `build`.
+//!
+//! The embarrassingly parallel work inside gather and select — Eq. 18
+//! weight accumulation, per-monitor region planning, Algorithm 1
+//! relevance lists and initial gains, the point schedulers'
+//! candidate/value evaluation — shards across a [`Threads`] scoped
+//! worker pool over contiguous ranges, merging partials in ascending
+//! range order. The adaptive picks (Algorithm 1's greedy loop, a
+//! scheduler's argmax, where each pick conditions the next), route, and
+//! settle stay serial.
 //!
 //! The determinism contract: for a fixed input stream, the produced
 //! [`SlotReport`]s, ledgers, and retired-monitor statistics are
@@ -74,9 +92,9 @@
 //! assert!(report.welfare > 0.0);
 //! ```
 
-use crate::alloc::baseline::{baseline_select_for_query_indexed, BaselinePointScheduler};
-use crate::alloc::greedy::greedy_select_sharded;
-use crate::alloc::{PointAllocation, PointScheduler};
+use crate::alloc::baseline::{baseline_select_for_query, BaselinePointScheduler};
+use crate::alloc::greedy::{greedy_select_sharded, GreedySelection};
+use crate::alloc::PointScheduler;
 use crate::exec::Threads;
 use crate::model::{QueryId, SensorSnapshot, Slot};
 use crate::monitor::location::LocationMonitor;
@@ -106,26 +124,88 @@ pub const SPATIAL_INDEX_MIN_SENSORS: usize = 256;
 /// [`AggregatorBuilder::ticks_per_slot`]).
 pub const DEFAULT_TICKS_PER_SLOT: u64 = 1_000;
 
-/// Per-monitor `(serving sensor, payment)` lists paired with the slot's
-/// region plans.
-type RegionSlotState<'a> = (&'a [Vec<(SensorSnapshot, f64)>], &'a [RegionPlan]);
+/// How the select stage picks sensors.
+enum SelectStage<'s> {
+    /// Algorithm 1 over every query at once (Algorithm 5's joint
+    /// selection).
+    Joint,
+    /// A set-valued stage for aggregates and custom valuations, then
+    /// `point` over every point query on cost-discounted sensors.
+    Staged {
+        set: SetStage,
+        point: Box<dyn PointScheduler + 's>,
+    },
+}
 
-/// Per-query `(sensor index, payment)` lists paired with their query ids
-/// — who gets refunded when a region monitor contributes.
-type RefundSource<'a> = (&'a [Vec<(usize, f64)>], &'a [QueryId]);
+/// The set-valued half of [`SelectStage::Staged`].
+#[derive(Clone, Copy)]
+enum SetStage {
+    /// One Algorithm 1 run over the set-valued queries.
+    Greedy,
+    /// The §4.7 baseline: one query at a time, buffering bought data.
+    Sequential,
+}
+
+/// One slot's one-shot queries, drained from the intake. The gather
+/// stage appends the monitor-generated point queries to `points`, which
+/// then holds the slot's whole point workload, end-user queries first.
+struct OneShots<'s> {
+    points: Vec<PointQuery>,
+    aggregates: Vec<AggregateQuery>,
+    customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
+}
+
+impl OneShots<'_> {
+    /// Ids of the set-valued queries: aggregates, then customs.
+    fn set_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
+        let aggregates = self.aggregates.iter().map(|q| q.id);
+        aggregates.chain(self.customs.iter().map(|(id, _)| *id))
+    }
+}
+
+/// What the select stage decided, in the shape route and settle consume.
+#[derive(Default)]
+struct Selection {
+    /// Set-valued answers: aggregates, then custom valuations.
+    sets: Vec<SetQueryResult>,
+    /// One answer per point query, in gather order.
+    points: Vec<PointResult>,
+    /// `(snapshot index, payment)` pairs per query — `sets`, then
+    /// `points` — recorded into the ledger in this order; also the
+    /// payers region sharing refunds.
+    payments: Vec<Vec<(usize, f64)>>,
+    /// Welfare booked by the select stage, before routing.
+    welfare: f64,
+    /// Sensor cost booked after routing (the §4.7 baseline's point
+    /// stage).
+    post_route_cost: f64,
+    /// Sensors bought this slot, in selection order, excluding those a
+    /// pre-stage bought.
+    sensors_used: Vec<usize>,
+    /// Sensors region monitors may free-ride on (Algorithm 3's
+    /// `A_{r,t}`).
+    candidates: Vec<usize>,
+    /// The point scheduler's solver metrics.
+    solver: MixBreakdown,
+}
 
 /// How the engine acquires data each slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MixStrategy {
     /// Algorithm 5: monitors are translated into point queries, then all
-    /// queries are selected *jointly* by Algorithm 1 (or the configured
-    /// point scheduler), sharing sensors and splitting costs by Eq. 11.
+    /// queries are selected *jointly* by Algorithm 1 (or, with a
+    /// configured point scheduler, aggregates and customs by Algorithm 1
+    /// and point queries by the scheduler), sharing sensors and
+    /// splitting costs by Eq. 11.
     #[default]
     Alg5,
-    /// The §4.7 sequential baseline: aggregates are executed one by one
-    /// (buffering bought data), then point queries run through the
-    /// baseline scheduler; location monitors only sample at their desired
-    /// times.
+    /// The §4.7 sequential baseline on every stage: location monitors
+    /// sample at their desired times only, region monitors plan on raw
+    /// costs and never free-ride, aggregates and custom valuations are
+    /// executed one by one (buffering bought data), then point queries
+    /// run through [`BaselinePointScheduler`] — or through the configured
+    /// [`AggregatorBuilder::scheduler`], which replaces only that last
+    /// stage.
     SequentialBaseline,
     /// The quality-adaptive online double auction (Mukhopadhyay et al.,
     /// arXiv:1608.04857): point queries and sensors are matched at
@@ -136,9 +216,10 @@ pub enum MixStrategy {
     /// bought sensors cost-discounted. Batch [`Aggregator::step`] under
     /// this strategy is the degenerate stream in which every sensor
     /// arrives at tick 0; feed mid-slot [`ArrivalEvent`]s through
-    /// [`Aggregator::step_streaming`] to see arrival-time clearing. A
-    /// configured [`AggregatorBuilder::scheduler`] takes precedence over
-    /// this strategy, exactly as it does over [`MixStrategy::Alg5`].
+    /// [`Aggregator::step_streaming`] to see arrival-time clearing. The
+    /// auction matches point queries itself, so
+    /// [`AggregatorBuilder::build`] rejects this strategy combined with an
+    /// [`AggregatorBuilder::scheduler`].
     OnlineAuction,
 }
 
@@ -439,7 +520,8 @@ impl<'s> AggregatorBuilder<'s> {
         self
     }
 
-    /// Selects Algorithm 5 or the §4.7 sequential baseline.
+    /// Selects Algorithm 5, the §4.7 sequential baseline, or the online
+    /// double auction (see [`MixStrategy`]).
     pub fn strategy(mut self, s: MixStrategy) -> Self {
         self.strategy = s;
         self
@@ -447,16 +529,19 @@ impl<'s> AggregatorBuilder<'s> {
 
     /// Routes point queries (end-user and monitor-generated) through a
     /// dedicated [`PointScheduler`] instead of the joint Algorithm 1
-    /// selection. Aggregates and custom valuations then run in a separate
-    /// Algorithm 1 stage of their own; sensors that stage buys are free
-    /// for the point stage (their data is buffered), so no sensor is
-    /// charged twice in one slot.
+    /// selection. Aggregates and custom valuations then run in a
+    /// set-valued stage of their own (Algorithm 1, or the §4.7 sequential
+    /// stage under [`MixStrategy::SequentialBaseline`]); sensors that
+    /// stage buys are free for the point stage (their data is buffered),
+    /// so no sensor is charged twice in one slot. Not allowed with
+    /// [`MixStrategy::OnlineAuction`].
     pub fn scheduler(mut self, s: impl PointScheduler + 's) -> Self {
         self.scheduler = Some(Box::new(s));
         self
     }
 
     /// Toggles the Eq. 18 cost weighting `w(k)` in region planning.
+    /// [`MixStrategy::SequentialBaseline`] always plans on raw costs.
     pub fn cost_weighting(mut self, on: bool) -> Self {
         self.use_cost_weighting = on;
         self
@@ -464,6 +549,7 @@ impl<'s> AggregatorBuilder<'s> {
 
     /// Toggles Algorithm 3's `A_{r,t}` sharing (region monitors
     /// free-riding on sensors bought by other queries).
+    /// [`MixStrategy::SequentialBaseline`] never shares.
     pub fn sensor_sharing(mut self, on: bool) -> Self {
         self.share_sensors = on;
         self
@@ -480,8 +566,8 @@ impl<'s> AggregatorBuilder<'s> {
         self
     }
 
-    /// Worker threads for the parallel evaluate phases of the
-    /// [slot pipeline](self#the-slot-pipeline-gather--evaluate---select--settle):
+    /// Worker threads for the parallel evaluate work of the
+    /// [slot pipeline](self#the-slot-pipeline-gather--select--route--settle):
     /// `0` (the default) auto-detects via
     /// [`std::thread::available_parallelism`], any other value is taken
     /// literally. Purely a wall-clock knob — selections, payments,
@@ -509,16 +595,40 @@ impl<'s> AggregatorBuilder<'s> {
         self
     }
 
-    /// Builds the engine.
+    /// Builds the engine, resolving the strategy, scheduler, and toggles
+    /// into the pipeline's stage choices once (see the
+    /// [module docs](self#the-slot-pipeline-gather--select--route--settle)).
+    ///
+    /// # Panics
+    /// When [`MixStrategy::OnlineAuction`] is combined with a
+    /// [`AggregatorBuilder::scheduler`]: the auction matches point queries
+    /// at arrival time and has no point stage to hand to a scheduler.
     #[must_use = "dropping the built engine discards all the configuration"]
     pub fn build(self) -> Aggregator<'s> {
+        assert!(
+            self.strategy != MixStrategy::OnlineAuction || self.scheduler.is_none(),
+            "OnlineAuction matches point queries itself and takes no scheduler"
+        );
+        let baseline = self.strategy == MixStrategy::SequentialBaseline;
+        let select = match self.scheduler {
+            None if !baseline => SelectStage::Joint,
+            scheduler => SelectStage::Staged {
+                set: if baseline {
+                    SetStage::Sequential
+                } else {
+                    SetStage::Greedy
+                },
+                point: scheduler.unwrap_or_else(|| Box::new(BaselinePointScheduler)),
+            },
+        };
         Aggregator {
             quality: self.quality,
             sensing_range: self.sensing_range,
             strategy: self.strategy,
-            scheduler: self.scheduler,
-            use_cost_weighting: self.use_cost_weighting,
-            share_sensors: self.share_sensors,
+            select,
+            desired_times_only: baseline,
+            use_cost_weighting: self.use_cost_weighting && !baseline,
+            share_sensors: self.share_sensors && !baseline,
             spatial_index: self.spatial_index,
             threads: self.threads,
             next_query_id: self.next_query_id,
@@ -544,7 +654,9 @@ pub struct Aggregator<'s> {
     quality: QualityModel,
     sensing_range: f64,
     strategy: MixStrategy,
-    scheduler: Option<Box<dyn PointScheduler + 's>>,
+    // Stage choices, resolved once by `AggregatorBuilder::build`.
+    select: SelectStage<'s>,
+    desired_times_only: bool,
     use_cost_weighting: bool,
     share_sensors: bool,
     spatial_index: bool,
@@ -569,29 +681,38 @@ impl<'s> Aggregator<'s> {
 
     // ── Query intake ──────────────────────────────────────────────────
 
-    /// Submits an end-user point query for the next slot.
-    pub fn submit_point(&mut self, spec: PointSpec) -> QueryId {
-        let id = self.mint();
-        self.pending_points.push(PointQuery {
-            id,
+    fn point_query(&mut self, spec: PointSpec) -> PointQuery {
+        PointQuery {
+            id: self.mint(),
             loc: spec.loc,
             budget: spec.budget,
             offset: 0.0,
             theta_min: spec.theta_min,
             origin: QueryOrigin::EndUser,
-        });
-        id
+        }
+    }
+
+    fn aggregate_query(&mut self, spec: &AggregateSpec) -> AggregateQuery {
+        AggregateQuery {
+            id: self.mint(),
+            region: spec.region,
+            budget: spec.budget,
+            kind: spec.kind,
+        }
+    }
+
+    /// Submits an end-user point query for the next slot.
+    pub fn submit_point(&mut self, spec: PointSpec) -> QueryId {
+        let q = self.point_query(spec);
+        self.pending_points.push(q);
+        q.id
     }
 
     /// Submits a spatial aggregate query for the next slot.
     pub fn submit_aggregate(&mut self, spec: AggregateSpec) -> QueryId {
-        let id = self.mint();
-        self.pending_aggregates.push(AggregateQuery {
-            id,
-            region: spec.region,
-            budget: spec.budget,
-            kind: spec.kind,
-        });
+        let q = self.aggregate_query(&spec);
+        let id = q.id;
+        self.pending_aggregates.push(q);
         id
     }
 
@@ -633,27 +754,6 @@ impl<'s> Aggregator<'s> {
         let id = self.mint();
         self.pending_customs.push((id, Box::new(v)));
         id
-    }
-
-    /// Inserts a pre-built point query, keeping its id (state restoration
-    /// and the deprecated free-function shims).
-    pub fn adopt_point_query(&mut self, q: PointQuery) {
-        self.pending_points.push(q);
-    }
-
-    /// Inserts a pre-built aggregate query, keeping its id.
-    pub fn adopt_aggregate_query(&mut self, q: AggregateQuery) {
-        self.pending_aggregates.push(q);
-    }
-
-    /// Inserts a pre-built location monitor, keeping its id and state.
-    pub fn adopt_location_monitor(&mut self, m: LocationMonitor) {
-        self.location_monitors.push(m);
-    }
-
-    /// Inserts a pre-built region monitor, keeping its id and state.
-    pub fn adopt_region_monitor(&mut self, m: RegionMonitor) {
-        self.region_monitors.push(m);
     }
 
     // ── Introspection ─────────────────────────────────────────────────
@@ -708,7 +808,7 @@ impl<'s> Aggregator<'s> {
         self.sensing_range
     }
 
-    /// The resolved worker-thread count for the parallel evaluate phases
+    /// The resolved worker-thread count for the parallel evaluate work
     /// (≥ 1; see [`AggregatorBuilder::threads`]).
     pub fn threads(&self) -> usize {
         self.threads.get()
@@ -732,7 +832,7 @@ impl<'s> Aggregator<'s> {
         // degenerate stream where every sensor arrives at tick 0 — one
         // code path, so batch and all-arrivals-at-start streaming runs
         // are bit-identical by construction.
-        if self.scheduler.is_none() && self.strategy == MixStrategy::OnlineAuction {
+        if self.strategy == MixStrategy::OnlineAuction {
             let events: Vec<ArrivalEvent> = sensors
                 .iter()
                 .map(|&s| ArrivalEvent::sensor(0, s))
@@ -740,46 +840,37 @@ impl<'s> Aggregator<'s> {
             return self.step_streaming(slot, &events);
         }
 
-        let points = std::mem::take(&mut self.pending_points);
-        let aggregates = std::mem::take(&mut self.pending_aggregates);
-        let customs = std::mem::take(&mut self.pending_customs);
-
+        let queries = OneShots {
+            points: std::mem::take(&mut self.pending_points),
+            aggregates: std::mem::take(&mut self.pending_aggregates),
+            customs: std::mem::take(&mut self.pending_customs),
+        };
         // One spatial index per slot, shared by every hot path below.
         let index = self.build_index(sensors);
-        let index = index.as_ref();
-
-        let report = match (&self.scheduler, self.strategy) {
-            (Some(_), _) => self.step_scheduled(slot, sensors, points, aggregates, customs, index),
-            (None, MixStrategy::Alg5) | (None, MixStrategy::OnlineAuction) => {
-                let none = HashSet::new();
-                self.step_alg5(slot, sensors, points, aggregates, customs, index, &none)
-            }
-            (None, MixStrategy::SequentialBaseline) => {
-                self.step_baseline(slot, sensors, points, aggregates, customs, index)
-            }
-        };
+        let none_bought = vec![false; sensors.len()];
+        let report = self.run_pipeline(slot, sensors, index.as_ref(), queries, &none_bought);
         self.finalize(slot, report)
     }
 
     /// Runs one time slot against a stream of intra-slot
     /// [`ArrivalEvent`]s instead of a boundary announcement. Under
-    /// [`MixStrategy::OnlineAuction`] (and no dedicated scheduler),
-    /// point queries are matched at arrival time by the online double
-    /// auction and whatever remains open clears at the boundary; every
-    /// other configuration replays the events into the ordinary intake
-    /// in order and executes the batch pipeline, recording boundary
-    /// decision latencies. Either way [`SlotReport::streaming`] is
-    /// populated, and a stream whose events all carry tick 0 in
-    /// submission order is bit-identical to the batch [`Aggregator::step`].
+    /// [`MixStrategy::OnlineAuction`], point queries are matched at
+    /// arrival time by the online double auction and whatever remains
+    /// open clears at the boundary; every other strategy replays the
+    /// events into the ordinary intake in order and executes the batch
+    /// pipeline, recording boundary decision latencies. Either way
+    /// [`SlotReport::streaming`] is populated, and a stream whose events
+    /// all carry tick 0 in submission order is bit-identical to the
+    /// batch [`Aggregator::step`].
     pub fn step_streaming(&mut self, slot: Slot, events: &[ArrivalEvent]) -> SlotReport {
-        if self.scheduler.is_none() && self.strategy == MixStrategy::OnlineAuction {
+        if self.strategy == MixStrategy::OnlineAuction {
             let report = self.step_online(slot, events);
             return self.finalize(slot, report);
         }
 
-        // Batch fallback: replay the stream into the intake (preserving
-        // event order, hence the minted id sequence) and resolve
-        // everything at the boundary.
+        // Replay the stream into the intake (preserving event order,
+        // hence the minted id sequence) and resolve everything at the
+        // boundary.
         let tps = self.ticks_per_slot;
         let mut stats = StreamStats::new(tps);
         let mut sensors: Vec<SensorSnapshot> = Vec::new();
@@ -864,7 +955,7 @@ impl<'s> Aggregator<'s> {
     /// query per active monitor instead of scanning every sensor against
     /// every monitor — the counts (and thus the weights) are identical.
     ///
-    /// Part of the parallel evaluate phase: the indexed path shards the
+    /// Part of the parallel evaluate work: the indexed path shards the
     /// accumulation by monitor range (per-shard integer count vectors,
     /// summed in shard order), the brute path by sensor range (weighted
     /// chunks concatenated in range order). Counts are integers and each
@@ -971,318 +1062,9 @@ impl<'s> Aggregator<'s> {
         plans
     }
 
-    /// Applies each active region monitor's slot results and, when
-    /// sharing is on, lets it free-ride on `candidates` (sensors bought
-    /// for other queries, Algorithm 3's `A_{r,t}`), charging its
-    /// contribution and refunding the original payers (Algorithm 5's
-    /// payment adjustment). Returns the monitors' welfare delta.
-    ///
-    /// `rm` pairs the per-monitor satisfied lists with the slot plans;
-    /// `refund_src` pairs the per-query payment lists with their query
-    /// ids.
-    fn apply_region_sharing(
-        &mut self,
-        t: Slot,
-        sensors: &[SensorSnapshot],
-        candidates: &[SensorSnapshot],
-        rm: RegionSlotState<'_>,
-        refund_src: RefundSource<'_>,
-        ledger: &mut Ledger,
-    ) -> f64 {
-        let (rm_satisfied, rm_plans) = rm;
-        let (per_query_payments, ids) = refund_src;
-        let mut welfare = 0.0;
-        for (mi, m) in self.region_monitors.iter_mut().enumerate() {
-            if !m.is_active(t) {
-                continue;
-            }
-            let before = m.value();
-            let shared: Vec<SensorSnapshot> = if self.share_sensors {
-                let served: HashSet<usize> = rm_satisfied[mi].iter().map(|(s, _)| s.id).collect();
-                candidates
-                    .iter()
-                    .filter(|s| m.region.contains(s.loc) && !served.contains(&s.id))
-                    .copied()
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let contributions = m.apply_results(&rm_satisfied[mi], &rm_plans[mi], &shared);
-            for (sensor_id, contribution) in contributions {
-                // Sensor-attributed: if a settlement pass later unwinds
-                // this sensor (`Ledger::strip_sensor`), the monitor's
-                // contribution is refunded along with the payers' net
-                // payments, keeping the merged ledger balanced per query.
-                ledger.charge_for(m.id, sensor_id, contribution);
-                refund_proportionally(
-                    ledger,
-                    per_query_payments,
-                    ids,
-                    sensors,
-                    sensor_id,
-                    contribution,
-                );
-            }
-            welfare += m.value() - before;
-        }
-        welfare
-    }
-
-    /// Algorithm 5 with joint Algorithm 1 selection over every query type.
-    ///
-    /// `prebought` lists snapshot indices the caller already bought this
-    /// slot (the online auction's boundary stage): those sensors arrive
-    /// here cost-discounted to 0, are excluded from the report's
-    /// `sensors_used` (the caller owns them), and are not region-sharing
-    /// candidates — a free-riding contribution must have payers to
-    /// refund. The batch path passes an empty set, making every one of
-    /// those filters a no-op.
-    #[allow(clippy::too_many_arguments)]
-    fn step_alg5(
-        &mut self,
-        t: Slot,
-        sensors: &[SensorSnapshot],
-        points: Vec<PointQuery>,
-        aggregates: Vec<AggregateQuery>,
-        mut customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
-        index: Option<&SensorIndex>,
-        prebought: &HashSet<usize>,
-    ) -> SlotReport {
-        // ── Stage 1: point-query creation for continuous queries ──────
-        let mut lm_queries: Vec<(usize, PointQuery)> = Vec::new();
-        for (mi, m) in self.location_monitors.iter().enumerate() {
-            self.next_query_id += 1;
-            if let Some(pq) = m.create_point_query(t, QueryId(self.next_query_id), mi) {
-                lm_queries.push((mi, pq));
-            }
-        }
-        let weighted = self.weighted_costs(t, sensors, index);
-        let mut next_id = self.next_query_id;
-        let rm_plans = Self::plan_regions(
-            &self.region_monitors,
-            self.threads,
-            t,
-            sensors,
-            &weighted,
-            index,
-            &mut next_id,
-        );
-        self.next_query_id = next_id;
-
-        // ── Stage 2: joint sensor selection (Algorithm 1) ─────────────
-        let mut agg_vals: Vec<AggregateValuation> = aggregates
-            .iter()
-            .map(|q| AggregateValuation::new(q, self.sensing_range))
-            .collect();
-        #[derive(Clone, Copy)]
-        enum PointKind {
-            EndUser,
-            Location(usize),
-            Region { monitor: usize },
-        }
-        let mut point_vals: Vec<PointValuation> = Vec::new();
-        let mut point_meta: Vec<PointKind> = Vec::new();
-        for q in &points {
-            point_vals.push(PointValuation::new(*q, self.quality));
-            point_meta.push(PointKind::EndUser);
-        }
-        for (mi, q) in &lm_queries {
-            point_vals.push(PointValuation::new(*q, self.quality));
-            point_meta.push(PointKind::Location(*mi));
-        }
-        for (mi, plan) in rm_plans.iter().enumerate() {
-            for planned in &plan.queries {
-                point_vals.push(PointValuation::new(planned.query, self.quality));
-                point_meta.push(PointKind::Region { monitor: mi });
-            }
-        }
-
-        let na = agg_vals.len();
-        let nc = customs.len();
-        // Valuation order (and payment indices): aggregates, customs,
-        // then point queries of all origins.
-        let mut ids: Vec<QueryId> = Vec::with_capacity(na + nc + point_vals.len());
-        ids.extend(aggregates.iter().map(|q| q.id));
-        ids.extend(customs.iter().map(|(id, _)| *id));
-        ids.extend(point_vals.iter().map(|v| v.query().id));
-        let mut vals: Vec<&mut dyn SetValuation> = Vec::with_capacity(ids.len());
-        for v in &mut agg_vals {
-            vals.push(v);
-        }
-        for (_, v) in &mut customs {
-            vals.push(v.as_mut());
-        }
-        for v in &mut point_vals {
-            vals.push(v);
-        }
-        let selection = greedy_select_sharded(&mut vals, sensors, index, self.threads);
-        drop(vals);
-
-        // Stable-id → snapshot-index map, built once per slot. Sorted
-        // pairs + binary search: at city scale, hashing every announced
-        // sensor cost more than the whole index build.
-        let id_to_index: Vec<(usize, usize)> = {
-            let mut m: Vec<(usize, usize)> =
-                sensors.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-            m.sort_unstable();
-            m
-        };
-        let index_of = |stable: usize| -> usize {
-            let k = id_to_index
-                .binary_search_by_key(&stable, |&(id, _)| id)
-                .expect("serving sensor was announced this slot");
-            id_to_index[k].1
-        };
-
-        let mut ledger = Ledger::new();
-        let mut breakdown = MixBreakdown {
-            point_total: points.len(),
-            aggregate_total: aggregates.len(),
-            ..MixBreakdown::default()
-        };
-        let mut welfare = -selection.total_cost;
-        let paid_of = |idx: usize| -> f64 {
-            selection.per_query_payments[idx]
-                .iter()
-                .map(|&(_, p)| p)
-                .sum()
-        };
-
-        // Aggregates.
-        let mut aggregate_results = Vec::with_capacity(na);
-        for (ai, v) in agg_vals.iter().enumerate() {
-            let value = v.current_value();
-            welfare += value;
-            if value > 0.0 {
-                breakdown.aggregate_answered += 1;
-                breakdown.aggregate_quality_sum += value / v.max_value();
-            }
-            for &(si, pay) in &selection.per_query_payments[ai] {
-                ledger.record(aggregates[ai].id, sensors[si].id, pay);
-            }
-            aggregate_results.push(SetQueryResult {
-                id: aggregates[ai].id,
-                value,
-                paid: paid_of(ai),
-                sensors: selection.per_query_payments[ai]
-                    .iter()
-                    .map(|&(si, _)| si)
-                    .collect(),
-            });
-        }
-
-        // Custom valuations.
-        let mut custom_results = Vec::with_capacity(nc);
-        for (ci, (id, v)) in customs.iter().enumerate() {
-            let idx = na + ci;
-            let value = v.current_value();
-            welfare += value;
-            for &(si, pay) in &selection.per_query_payments[idx] {
-                ledger.record(*id, sensors[si].id, pay);
-            }
-            custom_results.push(SetQueryResult {
-                id: *id,
-                value,
-                paid: paid_of(idx),
-                sensors: selection.per_query_payments[idx]
-                    .iter()
-                    .map(|&(si, _)| si)
-                    .collect(),
-            });
-        }
-
-        // Point queries of all three origins.
-        let mut point_results = Vec::with_capacity(points.len());
-        let mut lm_results: Vec<Option<(f64, f64)>> = vec![None; self.location_monitors.len()];
-        let mut rm_satisfied: Vec<Vec<(SensorSnapshot, f64)>> =
-            vec![Vec::new(); self.region_monitors.len()];
-        for (pi, v) in point_vals.iter().enumerate() {
-            let idx = na + nc + pi;
-            let value = v.current_value();
-            let paid = paid_of(idx);
-            for &(si, pay) in &selection.per_query_payments[idx] {
-                ledger.record(v.query().id, sensors[si].id, pay);
-            }
-            match point_meta[pi] {
-                PointKind::EndUser => {
-                    welfare += value;
-                    if value > 0.0 {
-                        breakdown.point_satisfied += 1;
-                        breakdown.point_quality_sum += value / v.max_value();
-                    }
-                    point_results.push(PointResult {
-                        id: v.query().id,
-                        value,
-                        paid,
-                        quality: v.best_quality(),
-                        sensor: v.best_sensor().map(index_of),
-                    });
-                }
-                PointKind::Location(mi) => {
-                    // Welfare counted through the monitor's own valuation.
-                    if value > 0.0 {
-                        lm_results[mi] = Some((v.best_quality(), paid));
-                    }
-                }
-                PointKind::Region { monitor } => {
-                    if value > 0.0 {
-                        let stable = v.best_sensor().expect("positive value");
-                        let serving = index_of(stable);
-                        rm_satisfied[monitor].push((sensors[serving], paid));
-                    }
-                }
-            }
-        }
-
-        // ── Stage 3: apply monitor results + payment adjustment ───────
-        for (mi, m) in self.location_monitors.iter_mut().enumerate() {
-            if !m.is_active(t) {
-                continue;
-            }
-            let before = m.value();
-            m.apply_result(t, lm_results[mi]);
-            if lm_results[mi].is_some() {
-                breakdown.monitor_samples += 1;
-            }
-            welfare += m.value() - before;
-        }
-
-        let selected_snapshots: Vec<SensorSnapshot> = selection
-            .selected
-            .iter()
-            .filter(|si| !prebought.contains(si))
-            .map(|&si| sensors[si])
-            .collect();
-        welfare += self.apply_region_sharing(
-            t,
-            sensors,
-            &selected_snapshots,
-            (&rm_satisfied, &rm_plans),
-            (&selection.per_query_payments, &ids),
-            &mut ledger,
-        );
-
-        let sensors_used: Vec<usize> = selection
-            .selected
-            .into_iter()
-            .filter(|si| !prebought.contains(si))
-            .collect();
-        SlotReport {
-            slot: t,
-            welfare,
-            breakdown,
-            ledger,
-            sensors_used,
-            point_results,
-            aggregate_results,
-            custom_results,
-            totals: Totals::default(),
-            streaming: None,
-        }
-    }
-
     /// The quality-adaptive online double auction over one slot's event
-    /// stream (`MixStrategy::OnlineAuction`, no dedicated scheduler).
+    /// stream (`MixStrategy::OnlineAuction`) — the arrival-time
+    /// pre-stage in front of the slot pipeline.
     ///
     /// Arrival-time clearing: an arriving point query is matched
     /// immediately to the in-range sensor offering the highest surplus
@@ -1293,8 +1075,9 @@ impl<'s> Aggregator<'s> {
     /// with it is positive. Aggregates, monitors, and custom valuations
     /// wait for the slot boundary, where everything still open — plus
     /// the unmatched points — clears through the ordinary Algorithm 5
-    /// batch with the online-bought sensors cost-discounted to 0 (their
-    /// data is buffered, exactly as in the scheduled path).
+    /// pipeline with the online-bought sensors cost-discounted to 0
+    /// (their data is buffered, exactly as between the staged select's
+    /// set and point stages).
     ///
     /// Money stays conserved: the online ledger holds exactly one
     /// full-cost receipt per bought sensor, the boundary stage sees
@@ -1313,66 +1096,26 @@ impl<'s> Aggregator<'s> {
         let mut bought: Vec<bool> = Vec::new();
         let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
 
-        // One-shot arrival bookkeeping (points + aggregates, in arrival
-        // order) for the decision-latency statistics.
+        // One-shot arrival ticks (points + aggregates, in arrival order)
+        // for the decision-latency statistics.
         let mut oneshot_ticks: Vec<u64> = Vec::new();
-        let mut decisions: Vec<Option<u64>> = Vec::new();
-
         // Point-query state: every arrival owns a result slot; matched
         // ones fill it online, the rest go to the boundary.
         let mut point_slots: Vec<Option<PointResult>> = Vec::new();
         // Waiting book entries: (query, result slot, one-shot index).
-        let mut waiting: Vec<(PointQuery, usize, usize)> = Vec::new();
+        type Waiter = (PointQuery, usize, usize);
+        let mut waiting: Vec<Waiter> = Vec::new();
+        // Arrival-time matches in commit order: (waiter, sensor, θ,
+        // value, price paid, tick). The first buyer of a sensor pays its
+        // full cost; later buyers reuse the buffered reading free.
+        let mut matches: Vec<(Waiter, usize, f64, f64, f64, u64)> = Vec::new();
         let mut aggregates: Vec<AggregateQuery> = Vec::new();
-
-        let mut online_ledger = Ledger::new();
-        let mut online_welfare = 0.0;
-        let mut online_satisfied = 0usize;
-        let mut online_quality_sum = 0.0;
-        let mut matched_at_arrival = 0usize;
         let mut query_arrivals = 0usize;
         let mut sensor_arrivals = 0usize;
-
-        // Commits `q` to sensor `si`: first buyer pays the full cost.
-        let mut commit = |q: &PointQuery,
-                          si: usize,
-                          theta: f64,
-                          value: f64,
-                          tick: u64,
-                          slot_idx: usize,
-                          oneshot: usize,
-                          sensors: &[SensorSnapshot],
-                          bought: &mut [bool],
-                          point_slots: &mut [Option<PointResult>],
-                          decisions: &mut [Option<u64>],
-                          oneshot_ticks: &[u64]| {
-            let price = if bought[si] { 0.0 } else { sensors[si].cost };
-            if !bought[si] {
-                bought[si] = true;
-                online_welfare -= sensors[si].cost;
-            }
-            if price > 0.0 {
-                online_ledger.record(q.id, sensors[si].id, price);
-            }
-            online_welfare += value;
-            online_satisfied += 1;
-            online_quality_sum += value / q.max_value();
-            matched_at_arrival += 1;
-            point_slots[slot_idx] = Some(PointResult {
-                id: q.id,
-                value,
-                paid: price,
-                quality: theta,
-                sensor: Some(si),
-            });
-            decisions[oneshot] = Some(tick.saturating_sub(oneshot_ticks[oneshot]));
-        };
 
         // Pending one-shot queries submitted before the slot started are
         // tick-0 arrivals preceding the event stream — this is what makes
         // the batch `step` (sensor-only events) literally this code path.
-        let pending_points = std::mem::take(&mut self.pending_points);
-        let pending_aggregates = std::mem::take(&mut self.pending_aggregates);
         enum Arrival {
             Point(PointQuery),
             Aggregate(AggregateQuery),
@@ -1380,35 +1123,17 @@ impl<'s> Aggregator<'s> {
             Sensor(SensorSnapshot),
         }
         let mut process: Vec<(u64, Arrival)> = Vec::new();
-        for q in pending_points {
+        for q in std::mem::take(&mut self.pending_points) {
             process.push((0, Arrival::Point(q)));
         }
-        for q in pending_aggregates {
+        for q in std::mem::take(&mut self.pending_aggregates) {
             process.push((0, Arrival::Aggregate(q)));
         }
         for ev in events {
             let tick = ev.tick.min(tps);
             let arrival = match &ev.payload {
-                ArrivalPayload::Point(spec) => {
-                    let id = self.mint();
-                    Arrival::Point(PointQuery {
-                        id,
-                        loc: spec.loc,
-                        budget: spec.budget,
-                        offset: 0.0,
-                        theta_min: spec.theta_min,
-                        origin: QueryOrigin::EndUser,
-                    })
-                }
-                ArrivalPayload::Aggregate(spec) => {
-                    let id = self.mint();
-                    Arrival::Aggregate(AggregateQuery {
-                        id,
-                        region: spec.region,
-                        budget: spec.budget,
-                        kind: spec.kind,
-                    })
-                }
+                ArrivalPayload::Point(spec) => Arrival::Point(self.point_query(*spec)),
+                ArrivalPayload::Aggregate(spec) => Arrival::Aggregate(self.aggregate_query(spec)),
                 ArrivalPayload::LocationMonitor(spec) => {
                     self.submit_location_monitor(spec.clone());
                     Arrival::Monitor
@@ -1426,11 +1151,9 @@ impl<'s> Aggregator<'s> {
             match arrival {
                 Arrival::Point(q) => {
                     query_arrivals += 1;
-                    let oneshot = oneshot_ticks.len();
-                    oneshot_ticks.push(tick);
-                    decisions.push(None);
-                    let slot_idx = point_slots.len();
+                    let waiter = (q, point_slots.len(), oneshot_ticks.len());
                     point_slots.push(None);
+                    oneshot_ticks.push(tick);
                     // Best-surplus match among the arrived sensors.
                     let (cx, cy) = cell_of(q.loc);
                     let mut cand: Vec<usize> = Vec::new();
@@ -1457,29 +1180,18 @@ impl<'s> Aggregator<'s> {
                             best = Some((surplus, si, theta, value));
                         }
                     }
-                    if let Some((_, si, theta, value)) = best {
-                        commit(
-                            &q,
-                            si,
-                            theta,
-                            value,
-                            tick,
-                            slot_idx,
-                            oneshot,
-                            &sensors,
-                            &mut bought,
-                            &mut point_slots,
-                            &mut decisions,
-                            &oneshot_ticks,
-                        );
-                    } else {
-                        waiting.push((q, slot_idx, oneshot));
+                    match best {
+                        Some((_, si, theta, value)) => {
+                            let price = if bought[si] { 0.0 } else { sensors[si].cost };
+                            bought[si] = true;
+                            matches.push((waiter, si, theta, value, price, tick));
+                        }
+                        None => waiting.push(waiter),
                     }
                 }
                 Arrival::Aggregate(q) => {
                     query_arrivals += 1;
                     oneshot_ticks.push(tick);
-                    decisions.push(None);
                     aggregates.push(q);
                 }
                 Arrival::Monitor => query_arrivals += 1,
@@ -1492,63 +1204,55 @@ impl<'s> Aggregator<'s> {
                     // Offer the new sensor to the waiting book in
                     // arrival order; earlier waiters buy first (and
                     // later ones then see the reading free).
-                    let book = std::mem::take(&mut waiting);
-                    for (q, slot_idx, oneshot) in book {
-                        let theta = self.quality.quality(&s, q.loc);
-                        let value = q.value_of_quality(theta);
+                    for waiter in std::mem::take(&mut waiting) {
+                        let theta = self.quality.quality(&s, waiter.0.loc);
+                        let value = waiter.0.value_of_quality(theta);
                         let price = if bought[si] { 0.0 } else { s.cost };
                         if value > 0.0 && value - price > 1e-9 {
-                            commit(
-                                &q,
-                                si,
-                                theta,
-                                value,
-                                tick,
-                                slot_idx,
-                                oneshot,
-                                &sensors,
-                                &mut bought,
-                                &mut point_slots,
-                                &mut decisions,
-                                &oneshot_ticks,
-                            );
+                            bought[si] = true;
+                            matches.push((waiter, si, theta, value, price, tick));
                         } else {
-                            waiting.push((q, slot_idx, oneshot));
+                            waiting.push(waiter);
                         }
                     }
                 }
             }
         }
 
-        // ── Boundary: everything still open clears through Algorithm 5
+        // Book the arrival-time matches, in commit order.
+        let mut online_ledger = Ledger::new();
+        let mut online_welfare = 0.0;
+        let mut online_quality_sum = 0.0;
+        let mut decisions: Vec<Option<u64>> = vec![None; oneshot_ticks.len()];
+        for &((q, slot_idx, oneshot), si, theta, value, price, tick) in &matches {
+            if price > 0.0 {
+                online_ledger.record(q.id, sensors[si].id, price);
+            }
+            online_welfare -= price;
+            online_welfare += value;
+            online_quality_sum += value / q.max_value();
+            point_slots[slot_idx] = Some(PointResult {
+                id: q.id,
+                value,
+                paid: price,
+                quality: theta,
+                sensor: Some(si),
+            });
+            decisions[oneshot] = Some(tick.saturating_sub(oneshot_ticks[oneshot]));
+        }
+
+        // ── Boundary: everything still open clears through the pipeline
         // with the online-bought sensors cost-discounted. ──────────────
-        let customs = std::mem::take(&mut self.pending_customs);
-        let prebought: HashSet<usize> = (0..sensors.len()).filter(|&si| bought[si]).collect();
-        let boundary_sensors: Vec<SensorSnapshot> = sensors
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                let mut s = *s;
-                if bought[si] {
-                    s.cost = 0.0;
-                }
-                s
-            })
-            .collect();
+        let boundary_sensors = discounted(&sensors, &bought);
         let index = self.build_index(&boundary_sensors);
-        let leftover_points: Vec<PointQuery> = waiting.iter().map(|(q, _, _)| *q).collect();
         let leftover_slots: Vec<usize> = waiting.iter().map(|&(_, s, _)| s).collect();
-        let total_points = point_slots.len();
-        let total_aggregates = aggregates.len();
-        let mut report = self.step_alg5(
-            t,
-            &boundary_sensors,
-            leftover_points,
+        let queries = OneShots {
+            points: waiting.iter().map(|(q, _, _)| *q).collect(),
             aggregates,
-            customs,
-            index.as_ref(),
-            &prebought,
-        );
+            customs: std::mem::take(&mut self.pending_customs),
+        };
+        let total_points = point_slots.len();
+        let mut report = self.run_pipeline(t, &boundary_sensors, index.as_ref(), queries, &bought);
 
         // Merge the online phase into the boundary report.
         report.welfare += online_welfare;
@@ -1562,18 +1266,16 @@ impl<'s> Aggregator<'s> {
             .map(|r| r.expect("every point arrival has a result"))
             .collect();
         report.breakdown.point_total = total_points;
-        report.breakdown.point_satisfied += online_satisfied;
+        report.breakdown.point_satisfied += matches.len();
         report.breakdown.point_quality_sum += online_quality_sum;
-        report.breakdown.aggregate_total = total_aggregates;
-        let mut used: Vec<usize> = prebought.iter().copied().collect();
-        used.sort_unstable();
+        let mut used: Vec<usize> = (0..sensors.len()).filter(|&si| bought[si]).collect();
         used.extend(std::mem::take(&mut report.sensors_used));
         report.sensors_used = used;
 
         let mut stats = StreamStats::new(tps);
         stats.query_arrivals = query_arrivals;
         stats.sensor_arrivals = sensor_arrivals;
-        stats.matched_at_arrival = matched_at_arrival;
+        stats.matched_at_arrival = matches.len();
         stats.decision_ticks = decisions
             .into_iter()
             .zip(&oneshot_ticks)
@@ -1583,413 +1285,493 @@ impl<'s> Aggregator<'s> {
         report
     }
 
-    /// The §4.7 sequential baseline: aggregates (and custom valuations)
-    /// one by one with data buffering, then all point queries through the
-    /// baseline point scheduler with the bought sensors free.
-    fn step_baseline(
+    // ── The pipeline: gather → select → route → settle ────────────────
+
+    /// Algorithm 5 for one slot: **gather** the point queries of every
+    /// origin, **select** sensors, **route** each answer back to the
+    /// query or monitor it came from, and **settle** monitor results,
+    /// region sharing, and payments into the report.
+    ///
+    /// `prebought[si]` marks sensors a pre-stage already bought this slot
+    /// (the online auction's arrival-time matches): they arrive here
+    /// cost-discounted to 0, are left out of the report's `sensors_used`
+    /// (the pre-stage owns them), and are not region-sharing candidates —
+    /// a free-riding contribution must have payers to refund.
+    fn run_pipeline(
         &mut self,
         t: Slot,
         sensors: &[SensorSnapshot],
-        points: Vec<PointQuery>,
-        aggregates: Vec<AggregateQuery>,
-        mut customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
         index: Option<&SensorIndex>,
+        mut queries: OneShots<'s>,
+        prebought: &[bool],
     ) -> SlotReport {
-        let mut ledger = Ledger::new();
-        let mut breakdown = MixBreakdown {
-            point_total: points.len(),
-            aggregate_total: aggregates.len(),
-            ..MixBreakdown::default()
-        };
-        let mut already = vec![false; sensors.len()];
-        let mut welfare = 0.0;
-        let mut sensors_used: Vec<usize> = Vec::new();
-
-        // Stage A: set-valued queries one by one.
-        let mut aggregate_results = Vec::with_capacity(aggregates.len());
-        for q in &aggregates {
-            let mut v = AggregateValuation::new(q, self.sensing_range);
-            let out = baseline_select_for_query_indexed(&mut v, sensors, &mut already, index);
-            welfare += out.value - out.cost;
-            if out.value > 0.0 {
-                breakdown.aggregate_answered += 1;
-                breakdown.aggregate_quality_sum += out.value / q.budget;
-            }
-            for &si in &out.newly_selected {
-                ledger.record(q.id, sensors[si].id, sensors[si].cost);
-                sensors_used.push(si);
-            }
-            aggregate_results.push(SetQueryResult {
-                id: q.id,
-                value: out.value,
-                paid: out.cost,
-                sensors: out.newly_selected,
-            });
-        }
-        let mut custom_results = Vec::with_capacity(customs.len());
-        for (id, v) in &mut customs {
-            let out = baseline_select_for_query_indexed(v.as_mut(), sensors, &mut already, index);
-            welfare += out.value - out.cost;
-            for &si in &out.newly_selected {
-                ledger.record(*id, sensors[si].id, sensors[si].cost);
-                sensors_used.push(si);
-            }
-            custom_results.push(SetQueryResult {
-                id: *id,
-                value: out.value,
-                paid: out.cost,
-                sensors: out.newly_selected,
-            });
-        }
-
-        // Stage B: point queries — end-user, monitors at desired times,
-        // and region plans (unweighted, no sharing).
-        let n_points = points.len();
-        let mut queries: Vec<PointQuery> = points;
-        for (mi, m) in self.location_monitors.iter().enumerate() {
-            self.next_query_id += 1;
-            if let Some(pq) = m.create_point_query_baseline(t, QueryId(self.next_query_id), mi) {
-                queries.push(pq);
-            }
-        }
-        let raw_costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let mut next_id = self.next_query_id;
-        let rm_plans = Self::plan_regions(
-            &self.region_monitors,
-            self.threads,
-            t,
-            sensors,
-            &raw_costs,
-            index,
-            &mut next_id,
-        );
-        for plan in &rm_plans {
-            for pq in &plan.queries {
-                queries.push(pq.query);
-            }
-        }
-        self.next_query_id = next_id;
-
-        let alloc = BaselinePointScheduler::new().schedule_with_preselected_sharded(
-            &queries,
-            sensors,
-            &self.quality,
-            &mut already,
-            index,
-            self.threads,
-        );
-
-        let mut point_results = Vec::with_capacity(n_points);
-        let mut rm_satisfied: Vec<Vec<(SensorSnapshot, f64)>> =
-            vec![Vec::new(); self.region_monitors.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            let a = alloc.assignments[qi];
-            if let Some(a) = a {
-                if a.payment > 0.0 {
-                    ledger.record(q.id, sensors[a.sensor].id, a.payment);
-                }
-            }
-            match q.origin {
-                QueryOrigin::EndUser => {
-                    let (value, paid, quality, sensor) = match a {
-                        Some(a) => (a.value, a.payment, a.quality, Some(a.sensor)),
-                        None => (0.0, 0.0, 0.0, None),
-                    };
-                    welfare += value;
-                    if value > 0.0 {
-                        breakdown.point_satisfied += 1;
-                        breakdown.point_quality_sum += value / q.budget;
-                    }
-                    point_results.push(PointResult {
-                        id: q.id,
-                        value,
-                        paid,
-                        quality,
-                        sensor,
-                    });
-                }
-                QueryOrigin::LocationMonitor { monitor } => {
-                    let Some(a) = a else { continue };
-                    let m = &mut self.location_monitors[monitor];
-                    let before = m.value();
-                    m.apply_result(t, Some((a.quality, a.payment)));
-                    breakdown.monitor_samples += 1;
-                    welfare += m.value() - before;
-                }
-                QueryOrigin::RegionMonitor { monitor, .. } => {
-                    if let Some(a) = a {
-                        if a.value > 0.0 {
-                            rm_satisfied[monitor].push((sensors[a.sensor], a.payment));
-                        }
-                    }
-                }
-            }
-        }
-        welfare -= alloc.total_sensor_cost;
-        sensors_used.extend(alloc.sensors_used.iter().copied());
-
-        // The baseline never free-rides: no shared candidates.
-        welfare += self.apply_region_sharing(
-            t,
-            sensors,
-            &[],
-            (&rm_satisfied, &rm_plans),
-            (&[], &[]),
-            &mut ledger,
-        );
-
-        SlotReport {
-            slot: t,
-            welfare,
-            breakdown,
-            ledger,
-            sensors_used,
-            point_results,
-            aggregate_results,
-            custom_results,
-            totals: Totals::default(),
-            streaming: None,
-        }
+        let point_total = queries.points.len();
+        let plans = self.gather(t, sensors, index, &mut queries.points);
+        let selection = self.select(sensors, index, &mut queries, prebought);
+        self.settle(t, sensors, &queries, point_total, &plans, selection)
     }
 
-    /// The dedicated-scheduler path (§4.5/§4.6): monitors are translated
-    /// into point queries exactly as in Algorithms 2–4, but the combined
-    /// point workload runs through the configured [`PointScheduler`].
-    /// Set-valued queries run in a separate Algorithm 1 stage.
-    fn step_scheduled(
+    /// Gather: appends to the end-user `points` one point query per
+    /// location monitor (Algorithm 2 — opportunistic, or at the desired
+    /// times only under the §4.7 baseline), then the region monitors'
+    /// planned queries (Algorithms 3–4 over Eq. 18 weighted or raw
+    /// costs). Ids are minted in that order: one per location monitor,
+    /// then the plans. Every query carries its [`QueryOrigin`], which is
+    /// what the route stage keys on.
+    fn gather(
         &mut self,
         t: Slot,
         sensors: &[SensorSnapshot],
-        points: Vec<PointQuery>,
-        aggregates: Vec<AggregateQuery>,
-        mut customs: Vec<(QueryId, Box<dyn SetValuation + 's>)>,
         index: Option<&SensorIndex>,
-    ) -> SlotReport {
-        let baseline_mode = self.strategy == MixStrategy::SequentialBaseline;
-        let mut ledger = Ledger::new();
-        let mut breakdown = MixBreakdown {
-            point_total: points.len(),
-            aggregate_total: aggregates.len(),
-            ..MixBreakdown::default()
-        };
-        let mut welfare = 0.0;
-        let mut sensors_used: Vec<usize> = Vec::new();
-
-        // Set-valued queries: their own Algorithm 1 stage.
-        let mut aggregate_results = Vec::with_capacity(aggregates.len());
-        let mut custom_results = Vec::with_capacity(customs.len());
-        if !aggregates.is_empty() || !customs.is_empty() {
-            let mut agg_vals: Vec<AggregateValuation> = aggregates
-                .iter()
-                .map(|q| AggregateValuation::new(q, self.sensing_range))
-                .collect();
-            let na = agg_vals.len();
-            let mut ids: Vec<QueryId> = aggregates.iter().map(|q| q.id).collect();
-            ids.extend(customs.iter().map(|(id, _)| *id));
-            let mut vals: Vec<&mut dyn SetValuation> = Vec::with_capacity(ids.len());
-            for v in &mut agg_vals {
-                vals.push(v);
-            }
-            for (_, v) in &mut customs {
-                vals.push(v.as_mut());
-            }
-            let selection = greedy_select_sharded(&mut vals, sensors, index, self.threads);
-            drop(vals);
-            welfare += selection.welfare;
-            sensors_used.extend(selection.selected.iter().copied());
-            for (idx, &id) in ids.iter().enumerate() {
-                let value = if idx < na {
-                    agg_vals[idx].current_value()
-                } else {
-                    customs[idx - na].1.current_value()
-                };
-                let mut paid = 0.0;
-                for &(si, pay) in &selection.per_query_payments[idx] {
-                    ledger.record(id, sensors[si].id, pay);
-                    paid += pay;
-                }
-                let result = SetQueryResult {
-                    id,
-                    value,
-                    paid,
-                    sensors: selection.per_query_payments[idx]
-                        .iter()
-                        .map(|&(si, _)| si)
-                        .collect(),
-                };
-                if idx < na {
-                    if value > 0.0 {
-                        breakdown.aggregate_answered += 1;
-                        breakdown.aggregate_quality_sum += value / agg_vals[idx].max_value();
-                    }
-                    aggregate_results.push(result);
-                } else {
-                    custom_results.push(result);
-                }
-            }
-        }
-
-        // Stage 1: monitor point-query creation.
-        let n_points = points.len();
-        let mut queries: Vec<PointQuery> = points;
+        points: &mut Vec<PointQuery>,
+    ) -> Vec<RegionPlan> {
         for (mi, m) in self.location_monitors.iter().enumerate() {
             self.next_query_id += 1;
             let id = QueryId(self.next_query_id);
-            let pq = if baseline_mode {
+            points.extend(if self.desired_times_only {
                 m.create_point_query_baseline(t, id, mi)
             } else {
                 m.create_point_query(t, id, mi)
-            };
-            if let Some(pq) = pq {
-                queries.push(pq);
-            }
+            });
         }
-        let weighted = self.weighted_costs(t, sensors, index);
-        let mut next_id = self.next_query_id;
-        let rm_plans = Self::plan_regions(
+        let costs = self.weighted_costs(t, sensors, index);
+        let plans = Self::plan_regions(
             &self.region_monitors,
             self.threads,
             t,
             sensors,
-            &weighted,
+            &costs,
             index,
-            &mut next_id,
+            &mut self.next_query_id,
         );
-        for plan in &rm_plans {
-            for pq in &plan.queries {
-                queries.push(pq.query);
-            }
-        }
-        self.next_query_id = next_id;
-
-        // Stage 2: the configured point scheduler. Sensors the set-valued
-        // stage already bought are free here (their data is buffered, as
-        // in the §4.7 baseline) — the scheduler sees them at cost 0, so
-        // they are neither re-charged nor double-counted in welfare.
-        let scheduler = self.scheduler.as_deref().expect("scheduled path");
-        let prebought: HashSet<usize> = sensors_used.iter().copied().collect();
-        // Sensor locations are unchanged by cost discounting, so the
-        // slot's index stays valid for both branches.
-        let alloc: PointAllocation = if prebought.is_empty() {
-            scheduler.schedule_sharded(&queries, sensors, &self.quality, index, self.threads)
-        } else {
-            let discounted: Vec<SensorSnapshot> = sensors
+        points.extend(
+            plans
                 .iter()
-                .enumerate()
-                .map(|(si, s)| {
-                    let mut s = *s;
-                    if prebought.contains(&si) {
-                        s.cost = 0.0;
-                    }
-                    s
-                })
-                .collect();
-            scheduler.schedule_sharded(&queries, &discounted, &self.quality, index, self.threads)
+                .flat_map(|p| p.queries.iter().map(|pq| pq.query)),
+        );
+        plans
+    }
+
+    /// Select: sensors for every query of the slot, through the stage
+    /// the builder chose.
+    fn select(
+        &self,
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+        queries: &mut OneShots<'s>,
+        prebought: &[bool],
+    ) -> Selection {
+        let (set, point) = match &self.select {
+            SelectStage::Joint => return self.select_joint(sensors, index, queries, prebought),
+            SelectStage::Staged { set, point } => (*set, point.as_ref()),
         };
-        welfare -= alloc.total_sensor_cost;
+        let mut selection = match set {
+            SetStage::Greedy => self.select_sets_greedy(sensors, index, queries),
+            SetStage::Sequential => self.select_sets_sequential(sensors, index, queries),
+        };
+        let point_cost = self.schedule_points(
+            point,
+            &mut selection,
+            sensors,
+            index,
+            &queries.points,
+            prebought,
+        );
+        // Where the point stage's sensor cost enters the welfare sum
+        // changes its float rounding, and both orders are pinned
+        // (tests/pipeline_golden.rs): the §4.7 baseline books it after
+        // the point answers, the greedy stage before them.
+        match set {
+            SetStage::Greedy => selection.welfare -= point_cost,
+            SetStage::Sequential => selection.post_route_cost = point_cost,
+        }
+        selection
+    }
+
+    /// Runs Algorithm 1 over the slot's aggregates and custom valuations
+    /// followed by `points`, in that valuation (and payment) order.
+    /// Returns the selection and each set-valued query's final value.
+    fn run_greedy(
+        &self,
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+        queries: &mut OneShots<'s>,
+        points: &mut [PointValuation],
+    ) -> (GreedySelection, Vec<f64>) {
+        let mut agg_vals: Vec<AggregateValuation> = queries
+            .aggregates
+            .iter()
+            .map(|q| AggregateValuation::new(q, self.sensing_range))
+            .collect();
+        let mut vals: Vec<&mut dyn SetValuation> =
+            Vec::with_capacity(agg_vals.len() + queries.customs.len() + points.len());
+        vals.extend(agg_vals.iter_mut().map(|v| v as &mut dyn SetValuation));
+        vals.extend(queries.customs.iter_mut().map(|(_, v)| v.as_mut() as _));
+        vals.extend(points.iter_mut().map(|v| v as &mut dyn SetValuation));
+        let selection = greedy_select_sharded(&mut vals, sensors, index, self.threads);
+        drop(vals);
+        let values = agg_vals
+            .iter()
+            .map(|v| v.current_value())
+            .chain(queries.customs.iter().map(|(_, v)| v.current_value()))
+            .collect();
+        (selection, values)
+    }
+
+    /// The joint selection of Algorithm 5: Algorithm 1 over every query
+    /// at once — aggregates, custom valuations, and point queries of all
+    /// origins — sharing sensors and splitting costs by Eq. 11.
+    fn select_joint(
+        &self,
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+        queries: &mut OneShots<'s>,
+        prebought: &[bool],
+    ) -> Selection {
+        let mut point_vals: Vec<PointValuation> = queries
+            .points
+            .iter()
+            .map(|q| PointValuation::new(*q, self.quality))
+            .collect();
+        let (selection, set_values) = self.run_greedy(sensors, index, queries, &mut point_vals);
+
+        // Stable-id → snapshot-index map, built once per slot. Sorted
+        // pairs + binary search: at city scale, hashing every announced
+        // sensor cost more than the whole index build.
+        let id_to_index: Vec<(usize, usize)> = {
+            let mut m: Vec<(usize, usize)> =
+                sensors.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+            m.sort_unstable();
+            m
+        };
+        let index_of = |stable: usize| -> usize {
+            let k = id_to_index
+                .binary_search_by_key(&stable, |&(id, _)| id)
+                .expect("serving sensor was announced this slot");
+            id_to_index[k].1
+        };
+        let paid_of = |pays: &[(usize, f64)]| -> f64 { pays.iter().map(|&(_, p)| p).sum() };
+
+        let mut welfare = -selection.total_cost;
+        let mut sets = Vec::with_capacity(set_values.len());
+        for ((id, value), pays) in queries
+            .set_ids()
+            .zip(set_values)
+            .zip(&selection.per_query_payments)
+        {
+            welfare += value;
+            sets.push(SetQueryResult {
+                id,
+                value,
+                paid: paid_of(pays),
+                sensors: pays.iter().map(|&(si, _)| si).collect(),
+            });
+        }
+        let points = point_vals
+            .iter()
+            .zip(&selection.per_query_payments[sets.len()..])
+            .map(|(v, pays)| PointResult {
+                id: v.query().id,
+                value: v.current_value(),
+                paid: paid_of(pays),
+                quality: v.best_quality(),
+                sensor: v.best_sensor().map(index_of),
+            })
+            .collect();
+        let sensors_used: Vec<usize> = selection
+            .selected
+            .into_iter()
+            .filter(|&si| !prebought[si])
+            .collect();
+        Selection {
+            sets,
+            points,
+            payments: selection.per_query_payments,
+            welfare,
+            candidates: sensors_used.clone(),
+            sensors_used,
+            ..Selection::default()
+        }
+    }
+
+    /// The set-valued stage as its own Algorithm 1 run over the
+    /// aggregates and custom valuations.
+    fn select_sets_greedy(
+        &self,
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+        queries: &mut OneShots<'s>,
+    ) -> Selection {
+        let mut out = Selection::default();
+        if queries.aggregates.is_empty() && queries.customs.is_empty() {
+            return out;
+        }
+        let (selection, set_values) = self.run_greedy(sensors, index, queries, &mut []);
+        out.welfare += selection.welfare;
+        out.sensors_used = selection.selected;
+        for ((id, value), pays) in queries
+            .set_ids()
+            .zip(set_values)
+            .zip(selection.per_query_payments)
+        {
+            out.sets.push(SetQueryResult {
+                id,
+                value,
+                paid: pays.iter().fold(0.0, |paid, &(_, p)| paid + p),
+                sensors: pays.iter().map(|&(si, _)| si).collect(),
+            });
+            out.payments.push(pays);
+        }
+        out
+    }
+
+    /// The §4.7 baseline's set-valued stage: aggregates, then custom
+    /// valuations, one query at a time, each buying what it alone
+    /// profits from, with sensors bought earlier in the slot free
+    /// (buffered data).
+    fn select_sets_sequential(
+        &self,
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+        queries: &mut OneShots<'s>,
+    ) -> Selection {
+        let mut out = Selection::default();
+        let mut bought = vec![false; sensors.len()];
+        let ids: Vec<QueryId> = queries.set_ids().collect();
+        let mut agg_vals: Vec<AggregateValuation> = queries
+            .aggregates
+            .iter()
+            .map(|q| AggregateValuation::new(q, self.sensing_range))
+            .collect();
+        let vals = agg_vals
+            .iter_mut()
+            .map(|v| v as &mut dyn SetValuation)
+            .chain(queries.customs.iter_mut().map(|(_, v)| v.as_mut() as _));
+        for (id, v) in ids.into_iter().zip(vals) {
+            let r = baseline_select_for_query(v, sensors, &mut bought, index);
+            out.welfare += r.value - r.cost;
+            out.sensors_used.extend(&r.newly_selected);
+            out.payments.push(
+                r.newly_selected
+                    .iter()
+                    .map(|&si| (si, sensors[si].cost))
+                    .collect(),
+            );
+            out.sets.push(SetQueryResult {
+                id,
+                value: r.value,
+                paid: r.cost,
+                sensors: r.newly_selected,
+            });
+        }
+        out
+    }
+
+    /// The point stage after a set-valued stage: `scheduler` runs over
+    /// every point query, exactly once, on sensors cost-discounted to 0
+    /// where an earlier stage already bought them (their data is
+    /// buffered), so no sensor is charged twice in one slot. Fills the
+    /// selection's point answers, payments, sharing candidates, and
+    /// solver metrics; returns the point stage's sensor cost.
+    fn schedule_points(
+        &self,
+        scheduler: &dyn PointScheduler,
+        out: &mut Selection,
+        sensors: &[SensorSnapshot],
+        index: Option<&SensorIndex>,
+        points: &[PointQuery],
+        prebought: &[bool],
+    ) -> f64 {
+        let mut bought = prebought.to_vec();
+        for &si in &out.sensors_used {
+            bought[si] = true;
+        }
+        // Sensor locations are unchanged by the discount, so the slot's
+        // index stays valid.
+        let alloc = scheduler.schedule_sharded(
+            points,
+            &discounted(sensors, &bought),
+            &self.quality,
+            index,
+            self.threads,
+        );
 
         // Solver metrics: welfare and bound are paired per slot so the
         // accumulated optimality gap compares like with like.
         if let Some(bound) = alloc.lp_bound {
-            breakdown.point_sched_welfare += alloc.welfare;
-            breakdown.point_lp_bound += bound;
-            breakdown.bound_known_slots += 1;
+            out.solver.point_sched_welfare += alloc.welfare;
+            out.solver.point_lp_bound += bound;
+            out.solver.bound_known_slots += 1;
         }
         if alloc.solve_status == Some(ps_solver::SolveStatus::LimitReached) {
-            breakdown.limited_slots += 1;
+            out.solver.limited_slots += 1;
         }
 
-        // Stage 3: route results.
-        let mut point_results = Vec::with_capacity(n_points);
-        let mut rm_satisfied: Vec<Vec<(SensorSnapshot, f64)>> =
-            vec![Vec::new(); self.region_monitors.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            let a = alloc.assignments[qi];
-            if let Some(a) = a {
-                if a.payment > 0.0 {
-                    ledger.record(q.id, sensors[a.sensor].id, a.payment);
-                }
-            }
-            match q.origin {
-                QueryOrigin::EndUser => {
-                    let (value, paid, quality, sensor) = match a {
-                        Some(a) => (a.value, a.payment, a.quality, Some(a.sensor)),
-                        None => (0.0, 0.0, 0.0, None),
-                    };
-                    welfare += value;
-                    if value > 0.0 {
-                        breakdown.point_satisfied += 1;
-                        breakdown.point_quality_sum += value / q.budget;
-                    }
-                    point_results.push(PointResult {
-                        id: q.id,
-                        value,
-                        paid,
-                        quality,
-                        sensor,
-                    });
-                }
-                QueryOrigin::LocationMonitor { monitor } => {
-                    let m = &mut self.location_monitors[monitor];
-                    let before = m.value();
-                    match a {
-                        Some(a) if a.value > 0.0 => {
-                            m.apply_result(t, Some((a.quality, a.payment)));
-                            breakdown.monitor_samples += 1;
-                        }
-                        _ => m.apply_result(t, None),
-                    }
-                    welfare += m.value() - before;
-                }
-                QueryOrigin::RegionMonitor { monitor, .. } => {
-                    if let Some(a) = a {
-                        if a.value > 0.0 {
-                            rm_satisfied[monitor].push((sensors[a.sensor], a.payment));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Region monitors: apply + optional A_{r,t} free-riding with the
-        // Algorithm 5 payment adjustment. Only sensors the point stage
-        // actually paid for are sharing candidates — a contribution must
-        // have payers to refund (pre-bought sensors ride free already).
-        let per_query_payments: Vec<Vec<(usize, f64)>> = alloc
-            .assignments
-            .iter()
-            .map(|a| match a {
+        for (q, &a) in points.iter().zip(&alloc.assignments) {
+            out.points.push(PointResult {
+                id: q.id,
+                value: a.map_or(0.0, |a| a.value),
+                paid: a.map_or(0.0, |a| a.payment),
+                quality: a.map_or(0.0, |a| a.quality),
+                sensor: a.map(|a| a.sensor),
+            });
+            out.payments.push(match a {
                 Some(a) if a.payment > 0.0 => vec![(a.sensor, a.payment)],
                 _ => Vec::new(),
-            })
+            });
+        }
+        // Only sensors the point stage actually paid for are sharing
+        // candidates — a contribution must have payers to refund.
+        let paid: HashSet<usize> = (alloc.assignments.iter().flatten())
+            .filter_map(|a| (a.payment > 0.0).then_some(a.sensor))
             .collect();
-        let query_ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
-        let paid: HashSet<usize> = per_query_payments
-            .iter()
-            .flatten()
-            .map(|&(si, _)| si)
-            .collect();
-        let candidates: Vec<SensorSnapshot> = alloc
+        out.candidates = alloc
             .sensors_used
             .iter()
+            .copied()
             .filter(|si| paid.contains(si))
-            .map(|&si| sensors[si])
             .collect();
-        welfare += self.apply_region_sharing(
-            t,
-            sensors,
-            &candidates,
-            (&rm_satisfied, &rm_plans),
-            (&per_query_payments, &query_ids),
-            &mut ledger,
-        );
-        sensors_used.extend(
-            alloc
-                .sensors_used
-                .iter()
-                .filter(|si| !prebought.contains(si))
-                .copied(),
-        );
+        out.sensors_used
+            .extend(alloc.sensors_used.iter().copied().filter(|&si| !bought[si]));
+        alloc.total_sensor_cost
+    }
+
+    /// Route and settle. Records the selection's payments; routes every
+    /// point answer by its [`QueryOrigin`] — to the end-user results, a
+    /// location monitor's sample, or a region monitor's satisfied list;
+    /// applies the monitors' results, letting region monitors free-ride
+    /// on the selection's sharing candidates (Algorithm 3's `A_{r,t}`)
+    /// and refunding the original payers (Algorithm 5's payment
+    /// adjustment); and assembles the report.
+    fn settle(
+        &mut self,
+        t: Slot,
+        sensors: &[SensorSnapshot],
+        queries: &OneShots<'s>,
+        point_total: usize,
+        plans: &[RegionPlan],
+        selection: Selection,
+    ) -> SlotReport {
+        let Selection {
+            mut sets,
+            points,
+            payments,
+            mut welfare,
+            post_route_cost,
+            sensors_used,
+            candidates,
+            solver,
+        } = selection;
+        let ids: Vec<QueryId> = sets
+            .iter()
+            .map(|r| r.id)
+            .chain(points.iter().map(|r| r.id))
+            .collect();
+        let mut ledger = Ledger::new();
+        for (&id, pays) in ids.iter().zip(&payments) {
+            for &(si, pay) in pays {
+                ledger.record(id, sensors[si].id, pay);
+            }
+        }
+        let mut breakdown = MixBreakdown {
+            point_total,
+            aggregate_total: queries.aggregates.len(),
+            ..solver
+        };
+        let custom_results = sets.split_off(queries.aggregates.len());
+        for (r, q) in sets.iter().zip(&queries.aggregates) {
+            if r.value > 0.0 {
+                breakdown.aggregate_answered += 1;
+                breakdown.aggregate_quality_sum += r.value / q.budget;
+            }
+        }
+
+        // Route: one answer per point query, keyed on its origin.
+        let mut point_results = Vec::with_capacity(point_total);
+        let mut lm_results: Vec<Option<(f64, f64)>> = vec![None; self.location_monitors.len()];
+        let mut rm_satisfied: Vec<Vec<(SensorSnapshot, f64)>> =
+            vec![Vec::new(); self.region_monitors.len()];
+        for (q, r) in queries.points.iter().zip(&points) {
+            match q.origin {
+                QueryOrigin::EndUser => {
+                    welfare += r.value;
+                    if r.value > 0.0 {
+                        breakdown.point_satisfied += 1;
+                        breakdown.point_quality_sum += r.value / q.budget;
+                    }
+                    point_results.push(*r);
+                }
+                // Welfare counted through the monitor's own valuation.
+                QueryOrigin::LocationMonitor { monitor } => {
+                    if r.value > 0.0 {
+                        lm_results[monitor] = Some((r.quality, r.paid));
+                    }
+                }
+                QueryOrigin::RegionMonitor { monitor, .. } => {
+                    if r.value > 0.0 {
+                        let serving = r.sensor.expect("positive value");
+                        rm_satisfied[monitor].push((sensors[serving], r.paid));
+                    }
+                }
+            }
+        }
+
+        // Settle: location monitors record their samples…
+        for (m, result) in self.location_monitors.iter_mut().zip(lm_results) {
+            if !m.is_active(t) {
+                continue;
+            }
+            let before = m.value();
+            m.apply_result(t, result);
+            if result.is_some() {
+                breakdown.monitor_samples += 1;
+            }
+            welfare += m.value() - before;
+        }
+        welfare -= post_route_cost;
+
+        // …and region monitors theirs, free-riding on the candidates
+        // when sharing is on and refunding the payers they relieve.
+        let candidates: Vec<SensorSnapshot> = candidates.iter().map(|&si| sensors[si]).collect();
+        let mut region_welfare = 0.0;
+        for ((m, satisfied), plan) in self
+            .region_monitors
+            .iter_mut()
+            .zip(&rm_satisfied)
+            .zip(plans)
+        {
+            if !m.is_active(t) {
+                continue;
+            }
+            let before = m.value();
+            let shared: Vec<SensorSnapshot> = if self.share_sensors {
+                let served: HashSet<usize> = satisfied.iter().map(|(s, _)| s.id).collect();
+                candidates
+                    .iter()
+                    .filter(|s| m.region.contains(s.loc) && !served.contains(&s.id))
+                    .copied()
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            for (sensor_id, contribution) in m.apply_results(satisfied, plan, &shared) {
+                // Sensor-attributed: if a settlement pass later unwinds
+                // this sensor (`Ledger::strip_sensor`), the monitor's
+                // contribution is refunded along with the payers' net
+                // payments, keeping the merged ledger balanced per query.
+                ledger.charge_for(m.id, sensor_id, contribution);
+                refund_proportionally(
+                    &mut ledger,
+                    &payments,
+                    &ids,
+                    sensors,
+                    sensor_id,
+                    contribution,
+                );
+            }
+            region_welfare += m.value() - before;
+        }
+        welfare += region_welfare;
 
         SlotReport {
             slot: t,
@@ -1998,12 +1780,22 @@ impl<'s> Aggregator<'s> {
             ledger,
             sensors_used,
             point_results,
-            aggregate_results,
+            aggregate_results: sets,
             custom_results,
             totals: Totals::default(),
             streaming: None,
         }
     }
+}
+
+/// `sensors` with the cost of every `bought` one zeroed: data bought
+/// earlier in the slot is buffered, so later stages get it free.
+fn discounted(sensors: &[SensorSnapshot], bought: &[bool]) -> Vec<SensorSnapshot> {
+    let discount = |(s, &b): (&SensorSnapshot, &bool)| SensorSnapshot {
+        cost: if b { 0.0 } else { s.cost },
+        ..*s
+    };
+    sensors.iter().zip(bought).map(discount).collect()
 }
 
 /// Splits `amount` back to the queries that paid for `sensor_id`,
@@ -2355,85 +2147,13 @@ mod tests {
         assert!(alg5.breakdown.point_satisfied > 0);
     }
 
-    /// Spec-based intake produces the same slot as adopted pre-built
-    /// queries (ids aside) — the state-restoration path `adopt_*` exists
-    /// for. (Ported from the deleted `ps_core::mix` shim tests.)
     #[test]
-    fn spec_intake_matches_adopted_queries() {
-        use crate::monitor::location::LocationMonitor;
-        use crate::monitor::region::RegionMonitor;
-        use crate::query::AggregateKind;
-        use ps_gp::kernel::SquaredExponential;
-
-        let sensors: Vec<SensorSnapshot> = (0..3)
-            .map(|i| sensor(i, 3.0 + 3.0 * i as f64, 4.0))
-            .collect();
-        let mut by_spec = AggregatorBuilder::new(quality()).build();
-        by_spec.submit_point(point_spec(3.0, 4.0, 15.0));
-        by_spec.submit_aggregate(AggregateSpec {
-            region: Rect::new(0.0, 0.0, 12.0, 8.0),
-            budget: 40.0,
-            kind: AggregateKind::Average,
-        });
-        by_spec.submit_location_monitor(LocationMonitorSpec {
-            loc: Point::new(6.0, 4.0),
-            t1: 0,
-            t2: 10,
-            alpha: 0.5,
-            theta_min: 0.2,
-            valuation: MonitoringValuation::new(monitoring_ctx(), 80.0, vec![0.0, 4.0]),
-        });
-        by_spec.submit_region_monitor(RegionMonitorSpec {
-            t1: 0,
-            t2: 10,
-            alpha: 0.5,
-            theta_min: 0.2,
-            valuation: RegionValuation::new(
-                60.0,
-                Rect::new(0.0, 0.0, 9.0, 8.0),
-                &SquaredExponential::new(2.0, 2.0),
-                0.1,
-            ),
-        });
-        let spec_report = by_spec.step(0, &sensors);
-
-        let mut adopted = AggregatorBuilder::new(quality()).build();
-        adopted.adopt_point_query(PointQuery::new(QueryId(1), Point::new(3.0, 4.0), 15.0, 0.2));
-        adopted.adopt_aggregate_query(AggregateQuery {
-            id: QueryId(2),
-            region: Rect::new(0.0, 0.0, 12.0, 8.0),
-            budget: 40.0,
-            kind: AggregateKind::Average,
-        });
-        adopted.adopt_location_monitor(LocationMonitor::new(
-            QueryId(3),
-            Point::new(6.0, 4.0),
-            0,
-            10,
-            0.5,
-            0.2,
-            MonitoringValuation::new(monitoring_ctx(), 80.0, vec![0.0, 4.0]),
-        ));
-        adopted.adopt_region_monitor(RegionMonitor::new(
-            QueryId(4),
-            0,
-            10,
-            0.5,
-            0.2,
-            RegionValuation::new(
-                60.0,
-                Rect::new(0.0, 0.0, 9.0, 8.0),
-                &SquaredExponential::new(2.0, 2.0),
-                0.1,
-            ),
-        ));
-        let adopted_report = adopted.step(0, &sensors);
-        assert!((spec_report.welfare - adopted_report.welfare).abs() < 1e-9);
-        assert_eq!(
-            spec_report.breakdown.point_satisfied,
-            adopted_report.breakdown.point_satisfied
-        );
-        assert_eq!(spec_report.sensors_used, adopted_report.sensors_used);
+    #[should_panic(expected = "takes no scheduler")]
+    fn online_auction_rejects_a_scheduler() {
+        let _ = AggregatorBuilder::new(quality())
+            .strategy(MixStrategy::OnlineAuction)
+            .scheduler(OptimalScheduler::new())
+            .build();
     }
 
     #[test]

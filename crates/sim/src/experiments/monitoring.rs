@@ -73,7 +73,7 @@ impl LocAlgo {
         }
     }
 
-    fn baseline_mode(&self) -> bool {
+    fn is_baseline(&self) -> bool {
         matches!(self, LocAlgo::Baseline)
     }
 }
@@ -123,7 +123,7 @@ fn run_location_simulation(
     let mut pool = SensorPool::new(setting.num_agents, &pool_cfg);
     let mut engine = engine_for(scale, &setting.working_region, setting.quality, move |b| {
         b.scheduler(algo.scheduler())
-            .strategy(if algo.baseline_mode() {
+            .strategy(if algo.is_baseline() {
                 MixStrategy::SequentialBaseline
             } else {
                 MixStrategy::Alg5

@@ -272,7 +272,7 @@ fn slot_input(t: usize) -> SlotInput {
         .collect();
     let custom = square(&mut rng, 12.0);
     // Monitors arrive at slots 0 and 2; the short ones retire mid-run.
-    let location_monitors = if t % 2 == 0 && t < 4 {
+    let location_monitors = if matches!(t, 0 | 2) {
         (0..3)
             .map(|i| LocationMonitorSpec {
                 loc: grid_point(&mut rng),
@@ -548,4 +548,22 @@ fn online_auction_mid_slot_stream() {
 #[test]
 fn alg5_on_a_two_by_two_cluster() {
     check("cluster_2x2", run_cluster(), 0xffb4_2636_b94a_0c72);
+}
+
+// ── The collapsed configuration matrix ───────────────────────────────────
+
+#[test]
+fn sequential_baseline_with_the_baseline_scheduler_is_the_sequential_baseline() {
+    // `SequentialBaseline` is the §4.7 baseline on every stage; naming its
+    // default point scheduler explicitly must not change a single bit.
+    let plain = engine(|b| b.strategy(MixStrategy::SequentialBaseline));
+    let explicit = engine(|b| {
+        b.strategy(MixStrategy::SequentialBaseline)
+            .scheduler(BaselinePointScheduler::new())
+    });
+    assert_eq!(
+        run_engine(explicit, Drive::Batch),
+        run_engine(plain, Drive::Batch),
+        "an explicit BaselinePointScheduler changed the sequential baseline"
+    );
 }
