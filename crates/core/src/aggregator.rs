@@ -93,7 +93,7 @@
 //! ```
 
 use crate::alloc::baseline::{baseline_select_for_query, BaselinePointScheduler};
-use crate::alloc::greedy::{greedy_select_sharded, GreedySelection};
+use crate::alloc::greedy::{greedy_select, GreedySelection};
 use crate::alloc::PointScheduler;
 use crate::exec::Threads;
 use crate::model::{QueryId, SensorSnapshot, Slot};
@@ -1408,7 +1408,7 @@ impl<'s> Aggregator<'s> {
         vals.extend(agg_vals.iter_mut().map(|v| v as &mut dyn SetValuation));
         vals.extend(queries.customs.iter_mut().map(|(_, v)| v.as_mut() as _));
         vals.extend(points.iter_mut().map(|v| v as &mut dyn SetValuation));
-        let selection = greedy_select_sharded(&mut vals, sensors, index, self.threads);
+        let selection = greedy_select(&mut vals, sensors, index, self.threads);
         drop(vals);
         let values = agg_vals
             .iter()

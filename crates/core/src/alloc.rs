@@ -1,18 +1,24 @@
 //! Sensor-allocation engines for one time slot.
 //!
 //! * [`optimal`] — the exact BILP schedule of Eq. 9 (facility-location
-//!   branch-and-bound).
+//!   branch-and-bound), the greedy opener, and the LP-bound wrapper.
 //! * [`local_search`] — the Feige-et-al. Local Search heuristic (§3.1.2).
+//! * [`egalitarian`] — the §2 alternative objective: the most satisfied
+//!   queries instead of the most welfare.
 //! * [`baseline`] — the paper's baseline: sequential per-query execution
 //!   with data buffering (§4.3, §4.4).
 //! * [`greedy`] — Algorithm 1, greedy multi-query sensor selection over
 //!   black-box set valuations.
 //!
-//! The point schedulers share the [`PointAllocation`] result type and the
-//! facility-location construction in this module: queries are grouped by
-//! queried location (`Q_l`), locations become clients, sensors become
-//! facilities, and `v_l(s) = Σ_{q∈Q_l} v_q(s)` (Eq. 10's `v'` with
-//! non-positive values dropped).
+//! Every point scheduler implements one method,
+//! [`PointScheduler::schedule_sharded`], and returns a
+//! [`PointAllocation`]. The facility-location schedulers (optimal, the
+//! greedy opener, local search, egalitarian) share one path in this
+//! module: queries are grouped by queried location (`Q_l`), locations
+//! become clients, sensors become facilities, and
+//! `v_l(s) = Σ_{q∈Q_l} v_q(s)` (Eq. 10's `v'` with non-positive values
+//! dropped); the scheduler solves that problem, and its solution is priced
+//! with Eq. 11 payments. Each scheduler adds only its solve step.
 
 pub mod baseline;
 pub mod egalitarian;
@@ -91,6 +97,12 @@ impl PointAllocation {
 
 /// A scheduler of single-sensor point queries for one slot.
 ///
+/// [`PointScheduler::schedule_sharded`] is the one required method;
+/// [`PointScheduler::schedule`] and [`PointScheduler::schedule_indexed`]
+/// are shorthands for it without an index and on one thread. A type may
+/// override a shorthand (to trace calls, say), but the override must
+/// return exactly what `schedule_sharded` returns for the same arguments.
+///
 /// `Send + Sync` is a supertrait because engines owning a scheduler cross
 /// thread boundaries in the federation layer (`ps_cluster` steps whole
 /// `Aggregator`s on scoped worker threads). Every in-tree scheduler is a
@@ -99,36 +111,14 @@ impl PointAllocation {
 pub trait PointScheduler: Send + Sync {
     /// Chooses sensors for `queries` among `sensors`, computing values,
     /// payments, and welfare.
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation;
-
-    /// Like [`PointScheduler::schedule`], with an optional [`SensorIndex`]
-    /// built over the same snapshot slice. Implementations that override
-    /// this use the index to prune candidate sensors (per queried
-    /// location: the disk of radius `d_max`) **without changing the
-    /// schedule** — the result must be identical to `schedule`. The
-    /// default ignores the index.
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        let _ = index;
-        self.schedule(queries, sensors, quality)
-    }
-
-    /// Like [`PointScheduler::schedule_indexed`], with a [`Threads`]
-    /// budget for sharding the embarrassingly-parallel per-query work
-    /// (candidate collection, value evaluation). Implementations that
-    /// override this must keep the schedule **bit-identical** for every
-    /// thread count — sharding is a wall-clock optimization, never a
-    /// semantic one. The default ignores the budget and runs serially.
+    ///
+    /// `index`, when given, is a [`SensorIndex`] built over the same
+    /// snapshot slice; implementations may use it to prune candidate
+    /// sensors (per queried location: the disk of radius `d_max`) but
+    /// the schedule must be identical to the one without it. `threads`
+    /// is a budget for sharding the embarrassingly-parallel per-query
+    /// work (candidate collection, value evaluation); the schedule must
+    /// be **bit-identical** for every thread count.
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -136,22 +126,20 @@ pub trait PointScheduler: Send + Sync {
         quality: &QualityModel,
         index: Option<&SensorIndex>,
         threads: Threads,
-    ) -> PointAllocation {
-        let _ = threads;
-        self.schedule_indexed(queries, sensors, quality, index)
-    }
-}
+    ) -> PointAllocation;
 
-impl<T: PointScheduler + ?Sized> PointScheduler for &T {
+    /// [`PointScheduler::schedule_sharded`] without an index, on one
+    /// thread.
     fn schedule(
         &self,
         queries: &[PointQuery],
         sensors: &[SensorSnapshot],
         quality: &QualityModel,
     ) -> PointAllocation {
-        (**self).schedule(queries, sensors, quality)
+        self.schedule_sharded(queries, sensors, quality, None, Threads::single())
     }
 
+    /// [`PointScheduler::schedule_sharded`] on one thread.
     fn schedule_indexed(
         &self,
         queries: &[PointQuery],
@@ -159,9 +147,11 @@ impl<T: PointScheduler + ?Sized> PointScheduler for &T {
         quality: &QualityModel,
         index: Option<&SensorIndex>,
     ) -> PointAllocation {
-        (**self).schedule_indexed(queries, sensors, quality, index)
+        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
     }
+}
 
+impl<T: PointScheduler + ?Sized> PointScheduler for &T {
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -175,25 +165,6 @@ impl<T: PointScheduler + ?Sized> PointScheduler for &T {
 }
 
 impl<T: PointScheduler + ?Sized> PointScheduler for Box<T> {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        (**self).schedule(queries, sensors, quality)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        (**self).schedule_indexed(queries, sensors, quality, index)
-    }
-
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -206,13 +177,6 @@ impl<T: PointScheduler + ?Sized> PointScheduler for Box<T> {
     }
 }
 
-/// Queries grouped by queried location: the clients of the
-/// facility-location formulation.
-pub(crate) struct LocationGroups {
-    /// For each distinct location: the indices of the queries at it.
-    pub groups: Vec<Vec<usize>>,
-}
-
 /// Exact-coordinate key; queried locations in the experiments are drawn
 /// from a discrete grid, so sharing only happens on exact collisions —
 /// the paper's `Q_l` semantics.
@@ -220,14 +184,15 @@ fn location_key(p: ps_geo::Point) -> (u64, u64) {
     (p.x.to_bits(), p.y.to_bits())
 }
 
-pub(crate) fn group_by_location(queries: &[PointQuery]) -> LocationGroups {
+/// Queries grouped by queried location, the clients of the
+/// facility-location formulation: for each distinct location, the indices
+/// of the queries at it.
+pub(crate) fn group_by_location(queries: &[PointQuery]) -> Vec<Vec<usize>> {
     let mut map: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
     for (i, q) in queries.iter().enumerate() {
         map.entry(location_key(q.loc)).or_default().push(i);
     }
-    LocationGroups {
-        groups: map.into_values().collect(),
-    }
+    map.into_values().collect()
 }
 
 /// Builds the Eq. 9 welfare problem: clients are locations, facilities are
@@ -242,7 +207,7 @@ pub(crate) fn group_by_location(queries: &[PointQuery]) -> LocationGroups {
 /// bit-identical for every thread count.
 pub(crate) fn build_welfare_problem(
     queries: &[PointQuery],
-    groups: &LocationGroups,
+    groups: &[Vec<usize>],
     sensors: &[SensorSnapshot],
     quality: &QualityModel,
     index: Option<&SensorIndex>,
@@ -251,9 +216,9 @@ pub(crate) fn build_welfare_problem(
     let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
     // Floor: one disk query + a few multiplies per location — inline
     // below 64 distinct locations.
-    let shards = threads.map_ranges_min(groups.groups.len(), 64, |range| {
+    let shards = threads.map_ranges_min(groups.len(), 64, |range| {
         let mut buf: Vec<usize> = Vec::new();
-        groups.groups[range]
+        groups[range]
             .iter()
             .map(|qs| {
                 let loc = queries[qs[0]].loc;
@@ -283,6 +248,30 @@ pub(crate) fn build_welfare_problem(
     WelfareProblem::new(costs, client_values)
 }
 
+/// The Eq. 9 path every facility-location scheduler shares: group the
+/// queries by location, build the welfare problem, run `solve` on it, and
+/// price the solution with [`allocation_from_solution`]. A scheduler
+/// contributes only its `solve` step. Only the build uses `index` and
+/// shards across `threads` (see [`build_welfare_problem`]); `solve` and
+/// the pricing run serially on the identical problem, so the schedule is
+/// bit-identical with and without the index and for every thread count.
+pub(crate) fn schedule_welfare(
+    queries: &[PointQuery],
+    sensors: &[SensorSnapshot],
+    quality: &QualityModel,
+    index: Option<&SensorIndex>,
+    threads: Threads,
+    solve: impl FnOnce(&WelfareProblem, &[Vec<usize>]) -> WelfareSolution,
+) -> PointAllocation {
+    if queries.is_empty() || sensors.is_empty() {
+        return PointAllocation::empty(queries.len());
+    }
+    let groups = group_by_location(queries);
+    let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
+    let solution = solve(&problem, &groups);
+    allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+}
+
 /// Converts a facility-location solution into a [`PointAllocation`],
 /// computing Eq. 11 payments and enforcing cost recovery.
 ///
@@ -291,24 +280,25 @@ pub(crate) fn build_welfare_problem(
 /// solver never produces such a sensor, but Local Search can (via the
 /// complement set); those sensors are dropped and their locations
 /// reassigned until stable, which only increases welfare.
-pub(crate) fn allocation_from_solution(
+fn allocation_from_solution(
     queries: &[PointQuery],
-    groups: &LocationGroups,
+    groups: &[Vec<usize>],
     sensors: &[SensorSnapshot],
     quality: &QualityModel,
     problem: &WelfareProblem,
     solution: &WelfareSolution,
 ) -> PointAllocation {
     let mut open = solution.open.clone();
-    // Iteratively drop cost-unrecoverable sensors.
-    let final_solution = loop {
+    // Iteratively drop cost-unrecoverable sensors. The per-sensor served
+    // value of the stable solution is also the Eq. 11 denominator.
+    let (final_solution, served_value) = loop {
         let sol = problem.solution_from_open(&open);
         let mut served_value = vec![0.0f64; sensors.len()];
         for (client, assigned) in sol.assignment.iter().enumerate() {
             if let Some(f) = assigned {
-                let loc = queries[groups.groups[client][0]].loc;
+                let loc = queries[groups[client][0]].loc;
                 let theta = quality.quality(&sensors[*f], loc);
-                let v: f64 = groups.groups[client]
+                let v: f64 = groups[client]
                     .iter()
                     .map(|&qi| queries[qi].value_of_quality(theta))
                     .sum();
@@ -327,31 +317,17 @@ pub(crate) fn allocation_from_solution(
             }
         }
         if !dropped {
-            break sol;
+            break (sol, served_value);
         }
     };
-
-    // Per-sensor served value for Eq. 11 denominators.
-    let mut served_value = vec![0.0f64; sensors.len()];
-    for (client, assigned) in final_solution.assignment.iter().enumerate() {
-        if let Some(f) = assigned {
-            let loc = queries[groups.groups[client][0]].loc;
-            let theta = quality.quality(&sensors[*f], loc);
-            let v: f64 = groups.groups[client]
-                .iter()
-                .map(|&qi| queries[qi].value_of_quality(theta))
-                .sum();
-            served_value[*f] += v;
-        }
-    }
 
     let mut assignments: Vec<Option<PointAssignment>> = vec![None; queries.len()];
     let mut total_value = 0.0;
     for (client, assigned) in final_solution.assignment.iter().enumerate() {
         let Some(f) = assigned else { continue };
-        let loc = queries[groups.groups[client][0]].loc;
+        let loc = queries[groups[client][0]].loc;
         let theta = quality.quality(&sensors[*f], loc);
-        for &qi in &groups.groups[client] {
+        for &qi in &groups[client] {
             let value = queries[qi].value_of_quality(theta);
             // Eq. 11: proportionate cost allocation.
             let payment = if value > 0.0 && served_value[*f] > 0.0 {
@@ -418,8 +394,8 @@ mod tests {
             pq(2, 1.0, 1.0, 20.0),
         ];
         let groups = group_by_location(&queries);
-        assert_eq!(groups.groups.len(), 2);
-        let sizes: Vec<usize> = groups.groups.iter().map(Vec::len).collect();
+        assert_eq!(groups.len(), 2);
+        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
         assert!(sizes.contains(&2) && sizes.contains(&1));
     }
 
@@ -469,6 +445,52 @@ mod tests {
             Threads::single(),
         );
         assert!(p.client_values[0].is_empty());
+    }
+
+    /// Implements only the required method and records the
+    /// `(index given, threads)` of every call routed to it.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<(bool, Threads)>>);
+
+    impl PointScheduler for Recorder {
+        fn schedule_sharded(
+            &self,
+            queries: &[PointQuery],
+            _sensors: &[SensorSnapshot],
+            _quality: &QualityModel,
+            index: Option<&SensorIndex>,
+            threads: Threads,
+        ) -> PointAllocation {
+            self.0.lock().unwrap().push((index.is_some(), threads));
+            PointAllocation::empty(queries.len())
+        }
+    }
+
+    #[test]
+    fn every_entry_point_routes_to_schedule_sharded() {
+        let quality = QualityModel::new(5.0);
+        let index = SensorIndex::build(&[Point::new(0.0, 0.0)]);
+        let (single, four) = (Threads::single(), Threads::new(4));
+        let rec = Recorder::default();
+        rec.schedule(&[], &[], &quality);
+        rec.schedule_indexed(&[], &[], &quality, Some(&index));
+        // Fully qualified, so the `&T` impl is the one called.
+        <&Recorder as PointScheduler>::schedule(&&rec, &[], &[], &quality);
+        <&Recorder as PointScheduler>::schedule_sharded(&&rec, &[], &[], &quality, None, four);
+        let boxed: Box<dyn PointScheduler + '_> = Box::new(&rec);
+        boxed.schedule_indexed(&[], &[], &quality, Some(&index));
+        boxed.schedule_sharded(&[], &[], &quality, Some(&index), four);
+        assert_eq!(
+            *rec.0.lock().unwrap(),
+            vec![
+                (false, single),
+                (true, single),
+                (false, single),
+                (false, four),
+                (true, single),
+                (true, four),
+            ]
+        );
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //! selected sensors is set to zero for the subsequent queries in the time
 //! slot."
 
-use crate::alloc::{PointAllocation, PointAssignment, PointScheduler};
+use crate::alloc::{group_by_location, PointAllocation, PointAssignment, PointScheduler};
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
 use crate::query::PointQuery;
 use crate::valuation::quality::QualityModel;
 use crate::valuation::SetValuation;
 use ps_geo::SensorIndex;
-use std::collections::BTreeMap;
 
 /// Baseline point scheduler (§4.3): execution on query arrival with data
 /// buffering within the slot.
@@ -34,25 +33,6 @@ impl BaselinePointScheduler {
 }
 
 impl PointScheduler for BaselinePointScheduler {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, None, Threads::single())
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
     /// Per query only the sensors in the `d_max` disk around its location
     /// are examined when an index is given (the exact `in_range` set,
     /// ascending), so the schedule is identical with and without it.
@@ -85,17 +65,14 @@ impl PointScheduler for BaselinePointScheduler {
         let mut selected = vec![false; sensors.len()];
         // State-free phase, per distinct location: the in-range sensors
         // as (sensor, θ), ascending by sensor.
-        let mut loc_of_query: Vec<usize> = Vec::with_capacity(queries.len());
-        let mut loc_index: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-        let mut locations: Vec<ps_geo::Point> = Vec::new();
-        for q in queries {
-            let key = (q.loc.x.to_bits(), q.loc.y.to_bits());
-            let li = *loc_index.entry(key).or_insert_with(|| {
-                locations.push(q.loc);
-                locations.len() - 1
-            });
-            loc_of_query.push(li);
+        let groups = group_by_location(queries);
+        let mut loc_of_query = vec![0; queries.len()];
+        for (li, group) in groups.iter().enumerate() {
+            for &qi in group {
+                loc_of_query[qi] = li;
+            }
         }
+        let locations: Vec<ps_geo::Point> = groups.iter().map(|g| queries[g[0]].loc).collect();
         // Floor: one disk query + a θ evaluation per location — inline
         // below 64 distinct locations.
         let candidate_shards = threads.map_ranges_min(locations.len(), 64, |range| {
@@ -130,17 +107,17 @@ impl PointScheduler for BaselinePointScheduler {
         let candidates: Vec<Vec<(usize, f64)>> = candidate_shards.into_iter().flatten().collect();
 
         // Stateful phase, serial in query order (§4.3's arrival order).
-        // location key → sensor already serving that location
-        let mut location_sensor: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+        // Per location: the sensor already serving it.
+        let mut location_sensor: Vec<Option<usize>> = vec![None; locations.len()];
         let mut assignments: Vec<Option<PointAssignment>> = vec![None; queries.len()];
         let mut newly_selected: Vec<usize> = Vec::new();
         let mut total_value = 0.0;
         let mut total_cost = 0.0;
 
         for (qi, q) in queries.iter().enumerate() {
-            let key = (q.loc.x.to_bits(), q.loc.y.to_bits());
+            let li = loc_of_query[qi];
             // Buffered data at this location?
-            if let Some(&si) = location_sensor.get(&key) {
+            if let Some(si) = location_sensor[li] {
                 let theta = quality.quality(&sensors[si], q.loc);
                 let value = q.value_of_quality(theta);
                 if value > 0.0 {
@@ -157,7 +134,7 @@ impl PointScheduler for BaselinePointScheduler {
             // Pick the sensor with maximum utility for this query alone;
             // already-selected sensors cost nothing extra.
             let mut best: Option<(usize, f64, f64, f64)> = None; // (si, utility, value, theta)
-            for &(si, theta) in &candidates[loc_of_query[qi]] {
+            for &(si, theta) in &candidates[li] {
                 let value = q.value_of_quality(theta);
                 if value <= 0.0 {
                     continue;
@@ -178,7 +155,7 @@ impl PointScheduler for BaselinePointScheduler {
                     newly_selected.push(si);
                     total_cost += sensors[si].cost;
                 }
-                location_sensor.insert(key, si);
+                location_sensor[li] = Some(si);
                 total_value += value;
                 assignments[qi] = Some(PointAssignment {
                     sensor: si,

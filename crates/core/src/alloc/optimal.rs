@@ -15,8 +15,7 @@
 //! optimality gap).
 
 use crate::alloc::{
-    allocation_from_solution, build_welfare_problem, group_by_location, PointAllocation,
-    PointScheduler,
+    build_welfare_problem, group_by_location, schedule_welfare, PointAllocation, PointScheduler,
 };
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
@@ -99,29 +98,6 @@ impl OptimalScheduler {
 }
 
 impl PointScheduler for OptimalScheduler {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_indexed(queries, sensors, quality, None)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
-    /// The Eq. 9 problem build (per-location candidate collection and
-    /// value sums) shards across `threads`; the branch-and-bound solve
-    /// and Eq. 11 payments stay serial on the identical problem, so the
-    /// schedule is bit-identical for every thread count.
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -130,38 +106,33 @@ impl PointScheduler for OptimalScheduler {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
-        if queries.is_empty() || sensors.is_empty() {
-            return PointAllocation::empty(queries.len());
-        }
-        let groups = group_by_location(queries);
-        let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
-
-        let mut options = self.options.clone();
-        if self.warm_across_slots {
-            let ids = self.warm_open_ids.lock().unwrap();
-            if !ids.is_empty() {
-                let hint: Vec<bool> = sensors.iter().map(|s| ids.contains(&s.id)).collect();
-                options.warm_start = WarmStart {
-                    incumbent: Some(hint),
-                    basis: None,
-                };
+        schedule_welfare(queries, sensors, quality, index, threads, |problem, _| {
+            let mut options = self.options.clone();
+            if self.warm_across_slots {
+                let ids = self.warm_open_ids.lock().unwrap();
+                if !ids.is_empty() {
+                    let hint: Vec<bool> = sensors.iter().map(|s| ids.contains(&s.id)).collect();
+                    options.warm_start = WarmStart {
+                        incumbent: Some(hint),
+                        basis: None,
+                    };
+                }
             }
-        }
 
-        let solution = ufl::solve_exact(&problem, &options);
+            let solution = ufl::solve_exact(problem, &options);
 
-        if self.warm_across_slots {
-            let open_ids: Vec<usize> = solution
-                .open
-                .iter()
-                .enumerate()
-                .filter(|&(_, &o)| o)
-                .map(|(f, _)| sensors[f].id)
-                .collect();
-            *self.warm_open_ids.lock().unwrap() = open_ids;
-        }
-
-        allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+            if self.warm_across_slots {
+                let open_ids: Vec<usize> = solution
+                    .open
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &o)| o)
+                    .map(|(f, _)| sensors[f].id)
+                    .collect();
+                *self.warm_open_ids.lock().unwrap() = open_ids;
+            }
+            solution
+        })
     }
 }
 
@@ -180,25 +151,6 @@ impl GreedyPointScheduler {
 }
 
 impl PointScheduler for GreedyPointScheduler {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_indexed(queries, sensors, quality, None)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],
@@ -207,13 +159,9 @@ impl PointScheduler for GreedyPointScheduler {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
-        if queries.is_empty() || sensors.is_empty() {
-            return PointAllocation::empty(queries.len());
-        }
-        let groups = group_by_location(queries);
-        let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
-        let solution = ufl::solve_greedy(&problem);
-        allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
+        schedule_welfare(queries, sensors, quality, index, threads, |problem, _| {
+            ufl::solve_greedy(problem)
+        })
     }
 }
 
@@ -245,25 +193,6 @@ impl<S> WithLpBound<S> {
 }
 
 impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
-    fn schedule(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-    ) -> PointAllocation {
-        self.schedule_indexed(queries, sensors, quality, None)
-    }
-
-    fn schedule_indexed(
-        &self,
-        queries: &[PointQuery],
-        sensors: &[SensorSnapshot],
-        quality: &QualityModel,
-        index: Option<&SensorIndex>,
-    ) -> PointAllocation {
-        self.schedule_sharded(queries, sensors, quality, index, Threads::single())
-    }
-
     fn schedule_sharded(
         &self,
         queries: &[PointQuery],

@@ -148,22 +148,11 @@ impl RegionMonitor {
     /// sensor's cost after Eq. 18 weighting (callers pass plain costs when
     /// no sharing applies). `make_id` mints identifiers for the generated
     /// point queries; `monitor_index` routes results back.
-    pub fn plan(
-        &self,
-        t: Slot,
-        sensors: &[SensorSnapshot],
-        weighted_cost: &[f64],
-        monitor_index: usize,
-        make_id: &mut dyn FnMut() -> QueryId,
-    ) -> RegionPlan {
-        self.plan_indexed(t, sensors, weighted_cost, monitor_index, make_id, None)
-    }
-
-    /// [`RegionMonitor::plan`] with an optional [`SensorIndex`] over the
-    /// snapshot slice: the `S_{r,t}` candidate set comes from a rectangle
-    /// query instead of a full scan. The index returns exactly the
-    /// in-region sensors in ascending order, so the plan is identical
-    /// with and without it.
+    ///
+    /// With an optional [`SensorIndex`] over the snapshot slice, the
+    /// `S_{r,t}` candidate set comes from a rectangle query instead of a
+    /// full scan. The index returns exactly the in-region sensors in
+    /// ascending order, so the plan is identical with and without it.
     pub fn plan_indexed(
         &self,
         t: Slot,
@@ -410,6 +399,21 @@ mod tests {
         }
     }
 
+    /// Plans without an index, minting ids from a fresh counter.
+    fn plan_unindexed(
+        m: &RegionMonitor,
+        t: Slot,
+        sensors: &[SensorSnapshot],
+        costs: &[f64],
+    ) -> RegionPlan {
+        let mut next_id = 0u64;
+        let mut mint = || {
+            next_id += 1;
+            QueryId(next_id)
+        };
+        m.plan_indexed(t, sensors, costs, 0, &mut mint, None)
+    }
+
     #[test]
     fn plan_selects_sensors_inside_region() {
         let m = monitor(60.0, 0, 10);
@@ -419,11 +423,7 @@ mod tests {
             sensor(2, 20.0, 20.0), // outside
         ];
         let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let mut next_id = 100u64;
-        let plan = m.plan(0, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let plan = plan_unindexed(&m, 0, &sensors, &costs);
         assert!(!plan.queries.is_empty());
         for pq in &plan.queries {
             assert_ne!(pq.sensor, 2, "outside sensor must not be planned");
@@ -439,11 +439,7 @@ mod tests {
         let m = monitor(15.0, 0, 10);
         let sensors: Vec<SensorSnapshot> = (0..6).map(|i| sensor(i, 1.0 + i as f64, 3.0)).collect();
         let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let mut next_id = 0u64;
-        let plan = m.plan(0, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let plan = plan_unindexed(&m, 0, &sensors, &costs);
         assert!(plan.queries.len() <= 2);
     }
 
@@ -452,11 +448,7 @@ mod tests {
         let m = monitor(60.0, 5, 10);
         let sensors = vec![sensor(0, 2.0, 2.0)];
         let costs = vec![10.0];
-        let mut next_id = 0u64;
-        let plan = m.plan(2, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let plan = plan_unindexed(&m, 2, &sensors, &costs);
         assert!(plan.queries.is_empty());
     }
 
@@ -517,11 +509,7 @@ mod tests {
         assert!(m.remaining_budget() < 1e-9);
         let sensors = vec![sensor(1, 2.0, 2.0)];
         let costs = vec![10.0];
-        let mut next_id = 0u64;
-        let p2 = m.plan(1, &sensors, &costs, 0, &mut || {
-            next_id += 1;
-            QueryId(next_id)
-        });
+        let p2 = plan_unindexed(&m, 1, &sensors, &costs);
         assert!(p2.queries.is_empty());
     }
 }

@@ -30,6 +30,11 @@ use ps_sim::report;
 use std::path::PathBuf;
 use std::time::Instant;
 
+/// Every experiment's CLI name, space-separated, in paper order.
+fn experiment_names() -> String {
+    ExperimentId::ALL.map(|id| id.name()).join(" ")
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::full();
@@ -78,7 +83,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--scale full|test|bench|smoke|city|metro] [--threads N] \
-                     [--shards g] [--streaming] [fig2 … fig10 trust | all]"
+                     [--shards g] [--streaming] [{} | all]",
+                    experiment_names()
                 );
                 return;
             }
@@ -87,7 +93,7 @@ fn main() {
                 Some(id) => wanted.push(id),
                 None => {
                     eprintln!("unknown experiment '{name}'");
-                    eprintln!("available: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 trust all");
+                    eprintln!("available: {} all", experiment_names());
                     std::process::exit(2);
                 }
             },

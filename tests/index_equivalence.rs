@@ -4,9 +4,12 @@
 //! payments — on the same seeded mixed standing stream. The scheduled
 //! (§4.5/§4.6) path gets the same treatment.
 
-use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport};
+use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport, SPATIAL_INDEX_MIN_SENSORS};
+use ps_core::alloc::baseline::BaselinePointScheduler;
+use ps_core::alloc::egalitarian::EgalitarianScheduler;
 use ps_core::alloc::local_search::LocalSearchScheduler;
-use ps_core::alloc::optimal::OptimalScheduler;
+use ps_core::alloc::optimal::{GreedyPointScheduler, OptimalScheduler, WithLpBound};
+use ps_core::alloc::PointScheduler;
 use ps_core::valuation::monitoring::MonitoringContext;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
@@ -36,9 +39,11 @@ fn monitoring_ctx() -> Arc<MonitoringContext> {
 
 fn profile() -> StandingMixProfile {
     let mut p = StandingMixProfile::from_scale(&Scale::test());
-    // Small but genuinely mixed: every query type participates.
-    p.sensors = 120;
-    p.points_per_slot = 40;
+    // Small but genuinely mixed: every query type participates. The
+    // sensor count clears `SPATIAL_INDEX_MIN_SENSORS`, so the indexed
+    // engine really builds its index.
+    p.sensors = 600;
+    p.points_per_slot = 200;
     p.aggregates_mean = 3;
     p.location_monitors = 6;
     p.region_monitors = 4;
@@ -55,6 +60,11 @@ fn run(engine: &mut Aggregator<'_>, slots: usize) -> Vec<SlotReport> {
         .map(|t| {
             p.submit_slot(&mut rng, t, engine, &ctx, &kernel);
             let sensors = p.sensors(&mut rng);
+            assert!(
+                sensors.len() >= SPATIAL_INDEX_MIN_SENSORS,
+                "{} sensors would skip the index on both sides",
+                sensors.len()
+            );
             engine.step(t, &sensors)
         })
         .collect()
@@ -120,14 +130,21 @@ fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
 
 #[test]
 fn indexed_and_brute_force_scheduled_paths_are_identical() {
-    for exact in [true, false] {
+    let schedulers: [fn() -> Box<dyn PointScheduler>; 6] = [
+        || Box::new(OptimalScheduler::new()),
+        || Box::new(LocalSearchScheduler::new()),
+        || Box::new(GreedyPointScheduler),
+        // The certified configuration of the benchmark.
+        || Box::new(WithLpBound::new(GreedyPointScheduler)),
+        || Box::new(BaselinePointScheduler),
+        || Box::new(EgalitarianScheduler),
+    ];
+    for scheduler in schedulers {
         let build = |spatial: bool| {
-            let b = AggregatorBuilder::new(QualityModel::new(5.0)).spatial_index(spatial);
-            if exact {
-                b.scheduler(OptimalScheduler::new()).build()
-            } else {
-                b.scheduler(LocalSearchScheduler::new()).build()
-            }
+            AggregatorBuilder::new(QualityModel::new(5.0))
+                .spatial_index(spatial)
+                .scheduler(scheduler())
+                .build()
         };
         let mut indexed = build(true);
         let mut brute = build(false);

@@ -8,8 +8,11 @@
 
 use proptest::prelude::*;
 use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport};
+use ps_core::alloc::baseline::BaselinePointScheduler;
+use ps_core::alloc::egalitarian::EgalitarianScheduler;
 use ps_core::alloc::local_search::LocalSearchScheduler;
-use ps_core::alloc::optimal::OptimalScheduler;
+use ps_core::alloc::optimal::{GreedyPointScheduler, OptimalScheduler, WithLpBound};
+use ps_core::alloc::PointScheduler;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
 use ps_sim::config::Scale;
@@ -174,21 +177,36 @@ proptest! {
 fn scheduled_paths_are_thread_count_invariant() {
     // The §4.5/§4.6 dedicated-scheduler paths shard the Eq. 9 problem
     // build and the baseline candidate evaluation; both must stay exact.
-    for exact in [true, false] {
+    // 200 points per slot give well over 2 × 64 distinct locations (the
+    // per-shard floor of those builds) and 600 sensors exceed 2 × 256
+    // (the floor of Algorithm 1's initial gains in the set-valued
+    // stage), so the 5-thread engine really shards.
+    let mut profile = small_profile();
+    profile.sensors = 600;
+    profile.points_per_slot = 200;
+    type MakeScheduler = fn() -> Box<dyn PointScheduler>;
+    let schedulers: [(&str, MakeScheduler); 6] = [
+        ("optimal", || Box::new(OptimalScheduler::new())),
+        ("local-search", || Box::new(LocalSearchScheduler::new())),
+        ("greedy", || Box::new(GreedyPointScheduler)),
+        ("greedy+lp-bound", || {
+            Box::new(WithLpBound::new(GreedyPointScheduler))
+        }),
+        ("baseline", || Box::new(BaselinePointScheduler)),
+        ("egalitarian", || Box::new(EgalitarianScheduler)),
+    ];
+    for (label, scheduler) in schedulers {
         let build = |threads: usize| {
-            let b = AggregatorBuilder::new(QualityModel::new(5.0)).threads(threads);
-            if exact {
-                b.scheduler(OptimalScheduler::new()).build()
-            } else {
-                b.scheduler(LocalSearchScheduler::new()).build()
-            }
+            AggregatorBuilder::new(QualityModel::new(5.0))
+                .threads(threads)
+                .scheduler(scheduler())
+                .build()
         };
-        let profile = small_profile();
         let mut serial = build(1);
         let mut sharded = build(5);
         let a = run(&mut serial, &profile, 42, 3);
         let b = run(&mut sharded, &profile, 42, 3);
-        assert_outcomes_identical(&a, &b, if exact { "optimal" } else { "local-search" });
+        assert_outcomes_identical(&a, &b, label);
     }
 }
 
