@@ -41,8 +41,8 @@
 //! selection decomposes exactly — and slot welfare agrees up to
 //! floating-point summation order. When supports cross tiles, shards
 //! optimize locally and the cluster may select differently than the
-//! global greedy; the slot-engine bench measures that **welfare gap**
-//! per scale (see `docs/PERFORMANCE.md`).
+//! global greedy; `tests/cluster_equivalence.rs` bounds that **welfare
+//! gap** at metro scale (see `docs/PERFORMANCE.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

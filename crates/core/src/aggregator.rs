@@ -114,8 +114,8 @@ use std::collections::{HashMap, HashSet};
 /// Announcements smaller than this skip the per-slot [`SensorIndex`]
 /// even when [`AggregatorBuilder::spatial_index`] is on: at populations
 /// this small the index build costs more than the brute-force scans it
-/// replaces (the 100-sensor tier of `BENCH_slot_engine.json` measured a
-/// 0.96× *slowdown* with the index). Selections are identical either
+/// replaces (a 100-sensor city-mix slot measured a 0.96× *slowdown*
+/// with the index). Selections are identical either
 /// way — the index is a scaling device, never a correctness one — so
 /// the cutover is invisible except in wall-clock time.
 pub const SPATIAL_INDEX_MIN_SENSORS: usize = 256;
@@ -559,8 +559,9 @@ impl<'s> AggregatorBuilder<'s> {
     /// default). Every hot path — the joint Algorithm 1 selection, the
     /// point schedulers, region-monitor planning, Eq. 18 cost weighting —
     /// consults the index instead of scanning the full announcement;
-    /// selections are identical either way, so this knob exists for
-    /// benchmarking the brute-force paths, not for correctness.
+    /// selections are identical either way, so this knob exists as the
+    /// brute-force oracle of `tests/index_equivalence.rs`, not for
+    /// correctness.
     pub fn spatial_index(mut self, on: bool) -> Self {
         self.spatial_index = on;
         self

@@ -139,7 +139,8 @@ impl PointScheduler for OptimalScheduler {
 /// The greedy marginal-gain opener (`ufl::solve_greedy`) as a standalone
 /// point scheduler: repeatedly opens the sensor with the largest welfare
 /// gain. Cheaper and weaker than Local Search; its role is the ablation
-/// axis "how much does search buy over pure greed" in the solver grid.
+/// axis "how much does search buy over pure greed" in the solver
+/// ablation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyPointScheduler;
 

@@ -34,7 +34,7 @@ pub struct Scale {
     /// `Aggregator`, `g ≥ 2` a `ps_cluster::ShardedAggregator` over a
     /// `g × g` grid (g² shards) with halo routing and global settlement.
     /// Unlike `threads`, sharding may change results on cross-tile
-    /// workloads; the slot-engine bench reports the measured welfare gap
+    /// workloads; `tests/cluster_equivalence.rs` bounds the welfare gap
     /// (`docs/PERFORMANCE.md`).
     pub shards: usize,
 }

@@ -377,7 +377,7 @@ mod tests {
 
     /// Satellite (gap columns): every solver-ablation run reports a gap
     /// in `[0, 1]` and a bound that dominates its own welfare — the
-    /// acceptance shape for the bench solver grid, at test scale.
+    /// certificate `tests/solver_anytime.rs` gates on a standing mix.
     #[test]
     fn solver_ablation_reports_certified_gaps() {
         let tables = ablation_solver(&tiny());

@@ -233,7 +233,7 @@ pub fn spawn_region_monitor(
 ///
 /// // …and drives an engine slot by slot. (Doctests build without
 /// // optimization, so step a down-scaled clone of the same mix here;
-/// // the bench and `repro --scale city` run it at full size.)
+/// // perfbench and `repro --scale city` run it at full size.)
 /// let mut mix = city.clone();
 /// mix.sensors = 150;
 /// mix.points_per_slot = 30;
@@ -564,9 +564,6 @@ impl StandingMixProfile {
 /// diurnal sinusoid over 120 past slots. The doctests and equivalence/
 /// determinism tests all need *a* [`MonitoringContext`] and none of
 /// them cares which; sharing one here keeps their workloads comparable.
-/// (The `slot_engine` bench keeps its own longer 200-slot history —
-/// changing that would change the committed `BENCH_slot_engine.json`
-/// workload.)
 pub fn test_monitoring_ctx() -> Arc<MonitoringContext> {
     let times: Vec<f64> = (0..120).map(|i| i as f64 - 120.0).collect();
     let values: Vec<f64> = times

@@ -10,32 +10,12 @@ use ps_core::alloc::egalitarian::EgalitarianScheduler;
 use ps_core::alloc::local_search::LocalSearchScheduler;
 use ps_core::alloc::optimal::{GreedyPointScheduler, OptimalScheduler, WithLpBound};
 use ps_core::alloc::PointScheduler;
-use ps_core::valuation::monitoring::MonitoringContext;
 use ps_core::valuation::quality::QualityModel;
 use ps_gp::kernel::SquaredExponential;
 use ps_sim::config::Scale;
-use ps_sim::workload::StandingMixProfile;
-use ps_stats::regression::DiurnalBasis;
-use ps_stats::TimeSeries;
+use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-
-fn monitoring_ctx() -> Arc<MonitoringContext> {
-    let times: Vec<f64> = (0..120).map(|i| i as f64 - 120.0).collect();
-    let values: Vec<f64> = times
-        .iter()
-        .map(|&t| 20.0 + 5.0 * (std::f64::consts::TAU * t / 50.0).sin())
-        .collect();
-    Arc::new(MonitoringContext {
-        basis: DiurnalBasis {
-            period: 50.0,
-            harmonics: 1,
-        },
-        history: TimeSeries::new(times, values),
-        fold: None,
-    })
-}
 
 fn profile() -> StandingMixProfile {
     let mut p = StandingMixProfile::from_scale(&Scale::test());
@@ -50,10 +30,9 @@ fn profile() -> StandingMixProfile {
     p
 }
 
-/// Drives `slots` slots through an engine, collecting every report.
-fn run(engine: &mut Aggregator<'_>, slots: usize) -> Vec<SlotReport> {
-    let p = profile();
-    let ctx = monitoring_ctx();
+/// Drives `slots` slots of `p` through an engine, collecting every report.
+fn run(engine: &mut Aggregator<'_>, p: &StandingMixProfile, slots: usize) -> Vec<SlotReport> {
+    let ctx = test_monitoring_ctx();
     let kernel = SquaredExponential::new(2.0, 2.0);
     let mut rng = StdRng::seed_from_u64(42);
     (0..slots)
@@ -114,18 +93,28 @@ fn assert_reports_identical(a: &[SlotReport], b: &[SlotReport]) {
     }
 }
 
-#[test]
-fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
+fn assert_indexed_matches_brute_force(p: &StandingMixProfile, slots: usize) {
     let mut indexed = AggregatorBuilder::new(QualityModel::new(5.0)).build();
     let mut brute = AggregatorBuilder::new(QualityModel::new(5.0))
         .spatial_index(false)
         .build();
-    let a = run(&mut indexed, 6);
-    let b = run(&mut brute, 6);
+    let a = run(&mut indexed, p, slots);
+    let b = run(&mut brute, p, slots);
     assert_reports_identical(&a, &b);
     // The stream actually exercised the engine.
     assert!(a.iter().any(|r| r.breakdown.point_satisfied > 0));
     assert!(a.iter().any(|r| r.breakdown.monitor_samples > 0));
+}
+
+#[test]
+fn indexed_and_brute_force_steps_are_identical_on_a_mixed_stream() {
+    assert_indexed_matches_brute_force(&profile(), 6);
+}
+
+#[test]
+#[ignore = "city scale (10 160 sensors); run with --release -- --ignored"]
+fn indexed_and_brute_force_steps_are_identical_at_city_scale() {
+    assert_indexed_matches_brute_force(&StandingMixProfile::from_scale(&Scale::city()), 7);
 }
 
 #[test]
@@ -139,6 +128,7 @@ fn indexed_and_brute_force_scheduled_paths_are_identical() {
         || Box::new(BaselinePointScheduler),
         || Box::new(EgalitarianScheduler),
     ];
+    let p = profile();
     for scheduler in schedulers {
         let build = |spatial: bool| {
             AggregatorBuilder::new(QualityModel::new(5.0))
@@ -148,8 +138,8 @@ fn indexed_and_brute_force_scheduled_paths_are_identical() {
         };
         let mut indexed = build(true);
         let mut brute = build(false);
-        let a = run(&mut indexed, 4);
-        let b = run(&mut brute, 4);
+        let a = run(&mut indexed, &p, 4);
+        let b = run(&mut brute, &p, 4);
         assert_reports_identical(&a, &b);
     }
 }

@@ -7,14 +7,21 @@
 //! identical seeded slot. That is what makes the node/pivot/deadline
 //! knobs safe to turn at city scale: turning them down degrades the
 //! schedule toward the heuristics, it never breaks the slot.
+//!
+//! The same Eq. 9 certificate holds over a closed-loop standing mix:
+//! every certified scheduler's welfare sits inside its summed LP bound.
 
-use ps_core::aggregator::{AggregatorBuilder, PointSpec, SlotReport};
+use ps_core::aggregator::{AggregatorBuilder, MixBreakdown, PointSpec, SlotReport};
 use ps_core::alloc::baseline::BaselinePointScheduler;
-use ps_core::alloc::optimal::OptimalScheduler;
+use ps_core::alloc::local_search::LocalSearchScheduler;
+use ps_core::alloc::optimal::{GreedyPointScheduler, OptimalScheduler, WithLpBound};
 use ps_core::alloc::PointScheduler;
 use ps_core::model::SensorSnapshot;
 use ps_core::valuation::quality::QualityModel;
 use ps_geo::Point;
+use ps_gp::kernel::SquaredExponential;
+use ps_sim::config::Scale;
+use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
 use ps_solver::ufl::{self, WelfareProblem};
 use ps_solver::{SolveOptions, SolveStatus};
 use rand::rngs::StdRng;
@@ -151,6 +158,77 @@ fn node_limited_solves_never_report_bogus_infeasible() {
         assert_eq!(solution.open.len(), problem.num_facilities());
         assert!(solution.welfare >= ufl::solve_greedy(&problem).welfare - 1e-9);
     }
+}
+
+/// Drives the standing mix through the exact scheduler under its
+/// default limits and the two heuristics under `WithLpBound`. Over the
+/// measured slots each one must carry a certificate: bounded slots
+/// exist, summed welfare sits inside the summed LP bound, and the gap is
+/// a ratio in [0, 1].
+fn assert_certified_on_standing_mix(profile: &StandingMixProfile, warmup: usize, measured: usize) {
+    type MakeScheduler = fn() -> Box<dyn PointScheduler>;
+    let schedulers: [(&str, MakeScheduler); 3] = [
+        ("optimal", || Box::new(OptimalScheduler::new())),
+        ("local-search+lp-bound", || {
+            Box::new(WithLpBound::new(LocalSearchScheduler::new()))
+        }),
+        ("greedy+lp-bound", || {
+            Box::new(WithLpBound::new(GreedyPointScheduler))
+        }),
+    ];
+    let ctx = test_monitoring_ctx();
+    let kernel = SquaredExponential::new(2.0, 2.0);
+    for (label, scheduler) in schedulers {
+        let mut engine = AggregatorBuilder::new(QualityModel::new(5.0))
+            .scheduler(scheduler())
+            .build();
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let mut breakdown = MixBreakdown::default();
+        for t in 0..warmup + measured {
+            profile.submit_slot(&mut rng, t, &mut engine, &ctx, &kernel);
+            let sensors = profile.sensors(&mut rng);
+            let report = engine.step(t, &sensors);
+            engine.clear_retired();
+            if t >= warmup {
+                breakdown.absorb(&report.breakdown);
+            }
+        }
+        assert!(
+            breakdown.bound_known_slots > 0,
+            "{label}: no LP-bounded slot"
+        );
+        assert!(
+            breakdown.point_sched_welfare <= breakdown.point_lp_bound + 1e-6,
+            "{label}: welfare {} above its LP bound {}",
+            breakdown.point_sched_welfare,
+            breakdown.point_lp_bound,
+        );
+        let gap = breakdown
+            .optimality_gap()
+            .expect("bounded slots carry a gap");
+        assert!((0.0..=1.0).contains(&gap), "{label}: optimality gap {gap}");
+    }
+}
+
+/// The city query mix packed onto 500 sensors: the facility graph
+/// collapses into one component past `ufl::MAX_EXACT_VARS`, so the
+/// exact scheduler answers from its heuristic seed plus the dual bound.
+#[test]
+fn standing_mix_welfare_stays_within_lp_bound() {
+    let mut profile = StandingMixProfile::from_scale(&Scale {
+        sensor_factor: 500.0 / 635.0,
+        ..Scale::city()
+    });
+    profile.aggregates_mean = 8;
+    profile.location_monitors = 50;
+    profile.region_monitors = 20;
+    assert_certified_on_standing_mix(&profile, 1, 2);
+}
+
+#[test]
+#[ignore = "city scale; run with --release -- --ignored"]
+fn city_standing_mix_welfare_stays_within_lp_bound() {
+    assert_certified_on_standing_mix(&StandingMixProfile::from_scale(&Scale::city()), 2, 5);
 }
 
 /// A seeded facility-location instance shaped like one slot's point

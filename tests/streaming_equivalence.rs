@@ -11,10 +11,13 @@
 //!   they never reach an engine — and the money that *does* flow stays
 //!   budget-balanced (payments = receipts) and cost-recovering (every
 //!   paid sensor recovers exactly its announced cost).
+//! * On a bursty mid-slot stream the online auction gives up at most
+//!   10 % of batch Alg5's welfare on the identical events, and no
+//!   query's decision waits past the slot boundary.
 
 use proptest::prelude::*;
 use ps_cluster::{ClusterBuilder, SlotEngine};
-use ps_core::aggregator::{AggregatorBuilder, MixStrategy, SlotReport};
+use ps_core::aggregator::{AggregatorBuilder, MixStrategy, SlotReport, DEFAULT_TICKS_PER_SLOT};
 use ps_core::streaming::{ArrivalEvent, ArrivalPayload};
 use ps_core::valuation::quality::QualityModel;
 use ps_geo::Rect;
@@ -349,4 +352,63 @@ fn retirement_matches_across_entry_points() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(false), run(true));
+}
+
+/// The price of clearing at arrival time (the online double auction of
+/// arXiv:1608.04857): an `OnlineAuction` engine and a batch Alg5 engine
+/// stepped on the *same* bursty event stream, no admission control in
+/// front. Over 7 slots the online welfare stays within 10 % of batch,
+/// and every slot's p99 decision latency stays inside the slot.
+fn assert_online_gap_within_budget(mut profile: StandingMixProfile, label: &str) {
+    profile.burst_period = 4;
+    profile.burst_factor = 1.5;
+    let ctx = test_monitoring_ctx();
+    let kernel = SquaredExponential::new(2.0, 2.0);
+    let mut online = AggregatorBuilder::new(QualityModel::new(5.0))
+        .strategy(MixStrategy::OnlineAuction)
+        .build();
+    let mut batch = AggregatorBuilder::new(QualityModel::new(5.0)).build();
+    let mut rng = StdRng::seed_from_u64(2013);
+    let (mut online_welfare, mut batch_welfare) = (0.0f64, 0.0f64);
+    for t in 0..7 {
+        // Both engines admit the same monitors, so the online engine's
+        // standing populations speak for both.
+        let events = profile.slot_events(
+            &mut rng,
+            t,
+            DEFAULT_TICKS_PER_SLOT,
+            online.location_monitors().len(),
+            online.region_monitors().len(),
+            &ctx,
+            &kernel,
+        );
+        let report = online.step_streaming(t, &events);
+        online_welfare += report.welfare;
+        batch_welfare += batch.step_streaming(t, &events).welfare;
+        online.clear_retired();
+        batch.clear_retired();
+        let p99 = report.streaming.as_ref().and_then(|s| s.p99()).unwrap_or(0);
+        assert!(
+            p99 <= DEFAULT_TICKS_PER_SLOT,
+            "{label}: slot {t} p99 decision latency {p99} ticks exceeds the slot"
+        );
+    }
+    assert!(batch_welfare > 0.0, "{label}: batch Alg5 earned nothing");
+    let gap = (batch_welfare - online_welfare) / batch_welfare;
+    assert!(
+        gap <= 0.10,
+        "{label}: online welfare {online_welfare} is {:.2} % below batch {batch_welfare}",
+        gap * 100.0
+    );
+}
+
+#[test]
+fn online_auction_welfare_within_10pct_of_batch_at_city_scale() {
+    assert_online_gap_within_budget(StandingMixProfile::from_scale(&Scale::city()), "city");
+}
+
+#[test]
+#[ignore = "metro scale; run with --release -- --ignored"]
+fn online_auction_welfare_within_10pct_of_batch_at_metro_scale() {
+    assert_online_gap_within_budget(StandingMixProfile::metro(), "metro");
 }
