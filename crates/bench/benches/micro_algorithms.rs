@@ -16,7 +16,7 @@ use ps_core::query::{AggregateKind, AggregateQuery};
 use ps_core::valuation::aggregate::AggregateValuation;
 use ps_core::valuation::SetValuation;
 use ps_core::QueryId;
-use ps_geo::{Point, Rect};
+use ps_geo::{Point, Rect, SensorIndex};
 use ps_gp::kernel::SquaredExponential;
 use ps_gp::posterior::PosteriorField;
 use ps_solver::simplex::DEFAULT_MAX_PIVOTS;
@@ -135,6 +135,8 @@ fn bench_algorithm_1(c: &mut Criterion) {
             inaccuracy: rng.gen_range(0.0..0.2),
         })
         .collect();
+    let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
+    let index = SensorIndex::build(&positions);
     group.bench_function("20_aggregates_80_sensors", |b| {
         b.iter(|| {
             let mut vals_storage: Vec<AggregateValuation> = queries
@@ -145,7 +147,7 @@ fn bench_algorithm_1(c: &mut Criterion) {
                 .iter_mut()
                 .map(|v| v as &mut dyn SetValuation)
                 .collect();
-            black_box(greedy_select(&mut vals, &sensors, None, Threads::single()).welfare)
+            black_box(greedy_select(&mut vals, &sensors, &index, Threads::single()).welfare)
         })
     });
     group.finish();

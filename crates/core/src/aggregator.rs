@@ -22,7 +22,6 @@
 //! | [`AggregatorBuilder::scheduler`] | §3.1 point schedulers (Eq. 9 exact / Local Search / baseline) as the point stage of Algorithms 2–3 |
 //! | [`AggregatorBuilder::cost_weighting`] | Eq. 18 shared-cost weighting `w(k)` for region planning |
 //! | [`AggregatorBuilder::sensor_sharing`] | Algorithm 3's `A_{r,t}` free-riding on sensors bought by other queries |
-//! | [`AggregatorBuilder::spatial_index`] | per-slot [`SensorIndex`] over the announcement (scaling only — selections are identical with and without it) |
 //! | [`AggregatorBuilder::threads`] | worker count for the parallel evaluate work (scaling only — output is bit-identical for every count) |
 //!
 //! # The slot pipeline: gather → select → route → settle
@@ -94,7 +93,7 @@
 
 use crate::alloc::baseline::{baseline_select_for_query, BaselinePointScheduler};
 use crate::alloc::greedy::{greedy_select, GreedySelection};
-use crate::alloc::PointScheduler;
+use crate::alloc::{build_index, PointScheduler};
 use crate::exec::Threads;
 use crate::model::{QueryId, SensorSnapshot, Slot};
 use crate::monitor::location::LocationMonitor;
@@ -110,15 +109,6 @@ use crate::valuation::region::RegionValuation;
 use crate::valuation::SetValuation;
 use ps_geo::{Point, Rect, SensorIndex};
 use std::collections::{HashMap, HashSet};
-
-/// Announcements smaller than this skip the per-slot [`SensorIndex`]
-/// even when [`AggregatorBuilder::spatial_index`] is on: at populations
-/// this small the index build costs more than the brute-force scans it
-/// replaces (a 100-sensor city-mix slot measured a 0.96× *slowdown*
-/// with the index). Selections are identical either
-/// way — the index is a scaling device, never a correctness one — so
-/// the cutover is invisible except in wall-clock time.
-pub const SPATIAL_INDEX_MIN_SENSORS: usize = 256;
 
 /// Default intra-slot tick resolution for the streaming path (see
 /// [`AggregatorBuilder::ticks_per_slot`]).
@@ -487,7 +477,6 @@ pub struct AggregatorBuilder<'s> {
     scheduler: Option<Box<dyn PointScheduler + 's>>,
     use_cost_weighting: bool,
     share_sensors: bool,
-    spatial_index: bool,
     threads: Threads,
     next_query_id: u64,
     ticks_per_slot: u64,
@@ -507,7 +496,6 @@ impl<'s> AggregatorBuilder<'s> {
             scheduler: None,
             use_cost_weighting: true,
             share_sensors: true,
-            spatial_index: true,
             threads: Threads::default(),
             next_query_id: 0,
             ticks_per_slot: DEFAULT_TICKS_PER_SLOT,
@@ -552,18 +540,6 @@ impl<'s> AggregatorBuilder<'s> {
     /// [`MixStrategy::SequentialBaseline`] never shares.
     pub fn sensor_sharing(mut self, on: bool) -> Self {
         self.share_sensors = on;
-        self
-    }
-
-    /// Toggles the per-slot [`SensorIndex`] over sensor locations (on by
-    /// default). Every hot path — the joint Algorithm 1 selection, the
-    /// point schedulers, region-monitor planning, Eq. 18 cost weighting —
-    /// consults the index instead of scanning the full announcement;
-    /// selections are identical either way, so this knob exists as the
-    /// brute-force oracle of `tests/index_equivalence.rs`, not for
-    /// correctness.
-    pub fn spatial_index(mut self, on: bool) -> Self {
-        self.spatial_index = on;
         self
     }
 
@@ -630,7 +606,6 @@ impl<'s> AggregatorBuilder<'s> {
             desired_times_only: baseline,
             use_cost_weighting: self.use_cost_weighting && !baseline,
             share_sensors: self.share_sensors && !baseline,
-            spatial_index: self.spatial_index,
             threads: self.threads,
             next_query_id: self.next_query_id,
             ticks_per_slot: self.ticks_per_slot,
@@ -660,7 +635,6 @@ pub struct Aggregator<'s> {
     desired_times_only: bool,
     use_cost_weighting: bool,
     share_sensors: bool,
-    spatial_index: bool,
     threads: Threads,
     next_query_id: u64,
     ticks_per_slot: u64,
@@ -847,9 +821,9 @@ impl<'s> Aggregator<'s> {
             customs: std::mem::take(&mut self.pending_customs),
         };
         // One spatial index per slot, shared by every hot path below.
-        let index = self.build_index(sensors);
+        let index = build_index(sensors);
         let none_bought = vec![false; sensors.len()];
-        let report = self.run_pipeline(slot, sensors, index.as_ref(), queries, &none_bought);
+        let report = self.run_pipeline(slot, sensors, &index, queries, &none_bought);
         self.finalize(slot, report)
     }
 
@@ -905,16 +879,6 @@ impl<'s> Aggregator<'s> {
         report
     }
 
-    /// Builds the slot's shared [`SensorIndex`] — unless the knob is off
-    /// or the announcement is below [`SPATIAL_INDEX_MIN_SENSORS`], where
-    /// brute-force scans are cheaper than the build.
-    fn build_index(&self, sensors: &[SensorSnapshot]) -> Option<SensorIndex> {
-        (self.spatial_index && sensors.len() >= SPATIAL_INDEX_MIN_SENSORS).then(|| {
-            let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
-            SensorIndex::build(&positions)
-        })
-    }
-
     /// Post-dispatch bookkeeping shared by the batch and streaming
     /// paths: absorb the slot ledger, roll the totals, retire monitors
     /// whose window ended at `slot`, and stamp the cumulative totals
@@ -951,68 +915,42 @@ impl<'s> Aggregator<'s> {
     }
 
     /// Eq. 18 weighted sensor costs for region planning (raw costs when
-    /// weighting is off or no region monitor is active). With an index,
-    /// the per-sensor sharing degree `k` is accumulated by rectangle
-    /// query per active monitor instead of scanning every sensor against
-    /// every monitor — the counts (and thus the weights) are identical.
+    /// weighting is off or no region monitor is active). The per-sensor
+    /// sharing degree `k` is accumulated by one rectangle query per
+    /// active monitor.
     ///
-    /// Part of the parallel evaluate work: the indexed path shards the
-    /// accumulation by monitor range (per-shard integer count vectors,
-    /// summed in shard order), the brute path by sensor range (weighted
-    /// chunks concatenated in range order). Counts are integers and each
-    /// weight is computed from the final count, so the result is
-    /// bit-identical for every thread count.
-    fn weighted_costs(
-        &self,
-        t: Slot,
-        sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
-    ) -> Vec<f64> {
+    /// Part of the parallel evaluate work: the accumulation shards by
+    /// monitor range (per-shard integer count vectors, summed in shard
+    /// order). Counts are integers and each weight is computed from the
+    /// final count, so the result is bit-identical for every thread
+    /// count.
+    fn weighted_costs(&self, t: Slot, sensors: &[SensorSnapshot], index: &SensorIndex) -> Vec<f64> {
         if !self.use_cost_weighting || self.region_monitors.is_empty() {
             return sensors.iter().map(|s| s.cost).collect();
         }
         let monitors = &self.region_monitors;
-        match index {
-            Some(idx) => {
-                let shards = self.threads.map_ranges_min(monitors.len(), 8, |range| {
-                    let mut k = vec![0u32; sensors.len()];
-                    let mut buf: Vec<usize> = Vec::new();
-                    for m in monitors[range].iter().filter(|m| m.is_active(t)) {
-                        idx.query_rect_into(&m.region, &mut buf);
-                        for &si in &buf {
-                            k[si] += 1;
-                        }
-                    }
-                    k
-                });
-                let mut k = vec![0u32; sensors.len()];
-                for shard in shards {
-                    for (total, part) in k.iter_mut().zip(shard) {
-                        *total += part;
-                    }
+        let shards = self.threads.map_ranges_min(monitors.len(), 8, |range| {
+            let mut k = vec![0u32; sensors.len()];
+            let mut buf: Vec<usize> = Vec::new();
+            for m in monitors[range].iter().filter(|m| m.is_active(t)) {
+                index.query_rect_into(&m.region, &mut buf);
+                for &si in &buf {
+                    k[si] += 1;
                 }
-                sensors
-                    .iter()
-                    .zip(&k)
-                    .map(|(s, &k)| s.cost * sharing_weight(k as usize))
-                    .collect()
             }
-            None => {
-                let shards = self.threads.map_ranges_min(sensors.len(), 256, |range| {
-                    sensors[range]
-                        .iter()
-                        .map(|s| {
-                            let k = monitors
-                                .iter()
-                                .filter(|m| m.is_active(t) && m.region.contains(s.loc))
-                                .count();
-                            s.cost * sharing_weight(k)
-                        })
-                        .collect::<Vec<f64>>()
-                });
-                shards.into_iter().flatten().collect()
+            k
+        });
+        let mut k = vec![0u32; sensors.len()];
+        for shard in shards {
+            for (total, part) in k.iter_mut().zip(shard) {
+                *total += part;
             }
         }
+        sensors
+            .iter()
+            .zip(&k)
+            .map(|(s, &k)| s.cost * sharing_weight(k as usize))
+            .collect()
     }
 
     /// Region-monitor planning (Algorithms 3–4) for one slot, sharded by
@@ -1031,7 +969,7 @@ impl<'s> Aggregator<'s> {
         t: Slot,
         sensors: &[SensorSnapshot],
         weighted_cost: &[f64],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         next_query_id: &mut u64,
     ) -> Vec<RegionPlan> {
         let shards = threads.map_ranges(monitors.len(), |range| {
@@ -1048,7 +986,7 @@ impl<'s> Aggregator<'s> {
                         weighted_cost,
                         mi,
                         &mut placeholder,
-                        index,
+                        Some(index),
                     )
                 })
                 .collect::<Vec<RegionPlan>>()
@@ -1245,7 +1183,7 @@ impl<'s> Aggregator<'s> {
         // ── Boundary: everything still open clears through the pipeline
         // with the online-bought sensors cost-discounted. ──────────────
         let boundary_sensors = discounted(&sensors, &bought);
-        let index = self.build_index(&boundary_sensors);
+        let index = build_index(&boundary_sensors);
         let leftover_slots: Vec<usize> = waiting.iter().map(|&(_, s, _)| s).collect();
         let queries = OneShots {
             points: waiting.iter().map(|(q, _, _)| *q).collect(),
@@ -1253,7 +1191,7 @@ impl<'s> Aggregator<'s> {
             customs: std::mem::take(&mut self.pending_customs),
         };
         let total_points = point_slots.len();
-        let mut report = self.run_pipeline(t, &boundary_sensors, index.as_ref(), queries, &bought);
+        let mut report = self.run_pipeline(t, &boundary_sensors, &index, queries, &bought);
 
         // Merge the online phase into the boundary report.
         report.welfare += online_welfare;
@@ -1302,7 +1240,7 @@ impl<'s> Aggregator<'s> {
         &mut self,
         t: Slot,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         mut queries: OneShots<'s>,
         prebought: &[bool],
     ) -> SlotReport {
@@ -1323,7 +1261,7 @@ impl<'s> Aggregator<'s> {
         &mut self,
         t: Slot,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         points: &mut Vec<PointQuery>,
     ) -> Vec<RegionPlan> {
         for (mi, m) in self.location_monitors.iter().enumerate() {
@@ -1358,7 +1296,7 @@ impl<'s> Aggregator<'s> {
     fn select(
         &self,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         queries: &mut OneShots<'s>,
         prebought: &[bool],
     ) -> Selection {
@@ -1395,7 +1333,7 @@ impl<'s> Aggregator<'s> {
     fn run_greedy(
         &self,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         queries: &mut OneShots<'s>,
         points: &mut [PointValuation],
     ) -> (GreedySelection, Vec<f64>) {
@@ -1425,7 +1363,7 @@ impl<'s> Aggregator<'s> {
     fn select_joint(
         &self,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         queries: &mut OneShots<'s>,
         prebought: &[bool],
     ) -> Selection {
@@ -1500,7 +1438,7 @@ impl<'s> Aggregator<'s> {
     fn select_sets_greedy(
         &self,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         queries: &mut OneShots<'s>,
     ) -> Selection {
         let mut out = Selection::default();
@@ -1533,7 +1471,7 @@ impl<'s> Aggregator<'s> {
     fn select_sets_sequential(
         &self,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         queries: &mut OneShots<'s>,
     ) -> Selection {
         let mut out = Selection::default();
@@ -1579,7 +1517,7 @@ impl<'s> Aggregator<'s> {
         scheduler: &dyn PointScheduler,
         out: &mut Selection,
         sensors: &[SensorSnapshot],
-        index: Option<&SensorIndex>,
+        index: &SensorIndex,
         points: &[PointQuery],
         prebought: &[bool],
     ) -> f64 {
@@ -1593,7 +1531,7 @@ impl<'s> Aggregator<'s> {
             points,
             &discounted(sensors, &bought),
             &self.quality,
-            index,
+            Some(index),
             self.threads,
         );
 

@@ -30,8 +30,9 @@ use crate::exec::Threads;
 use crate::model::SensorSnapshot;
 use crate::query::PointQuery;
 use crate::valuation::quality::QualityModel;
-use ps_geo::SensorIndex;
+use ps_geo::{Point, SensorIndex};
 use ps_solver::ufl::{WelfareProblem, WelfareSolution};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One query's share of the schedule.
@@ -99,9 +100,10 @@ impl PointAllocation {
 ///
 /// [`PointScheduler::schedule_sharded`] is the one required method;
 /// [`PointScheduler::schedule`] and [`PointScheduler::schedule_indexed`]
-/// are shorthands for it without an index and on one thread. A type may
-/// override a shorthand (to trace calls, say), but the override must
-/// return exactly what `schedule_sharded` returns for the same arguments.
+/// are shorthands for it without a caller's index and on one thread. A
+/// type may override a shorthand (to trace calls, say), but the override
+/// must return exactly what `schedule_sharded` returns for the same
+/// arguments.
 ///
 /// `Send + Sync` is a supertrait because engines owning a scheduler cross
 /// thread boundaries in the federation layer (`ps_cluster` steps whole
@@ -113,9 +115,10 @@ pub trait PointScheduler: Send + Sync {
     /// payments, and welfare.
     ///
     /// `index`, when given, is a [`SensorIndex`] built over the same
-    /// snapshot slice; implementations may use it to prune candidate
-    /// sensors (per queried location: the disk of radius `d_max`) but
-    /// the schedule must be identical to the one without it. `threads`
+    /// snapshot slice; the in-tree schedulers panic when its length
+    /// differs, and build one themselves when it is `None`. They take
+    /// each queried location's candidate sensors (the disk of radius
+    /// `d_max`) from it. `threads`
     /// is a budget for sharding the embarrassingly-parallel per-query
     /// work (candidate collection, value evaluation); the schedule must
     /// be **bit-identical** for every thread count.
@@ -128,8 +131,8 @@ pub trait PointScheduler: Send + Sync {
         threads: Threads,
     ) -> PointAllocation;
 
-    /// [`PointScheduler::schedule_sharded`] without an index, on one
-    /// thread.
+    /// [`PointScheduler::schedule_sharded`] without a caller's index, on
+    /// one thread.
     fn schedule(
         &self,
         queries: &[PointQuery],
@@ -177,6 +180,41 @@ impl<T: PointScheduler + ?Sized> PointScheduler for Box<T> {
     }
 }
 
+/// Builds the [`SensorIndex`] over one slot's announcement.
+pub(crate) fn build_index(sensors: &[SensorSnapshot]) -> SensorIndex {
+    let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
+    SensorIndex::build(&positions)
+}
+
+/// Panics unless `index` was built over an announcement of `sensors`
+/// sensors. An index over fewer sensors would silently drop candidates,
+/// and one over more would hand out out-of-bounds snapshot indices.
+pub(crate) fn check_index(index: &SensorIndex, sensors: &[SensorSnapshot]) {
+    assert_eq!(
+        index.len(),
+        sensors.len(),
+        "SensorIndex covers {} sensors but the announcement has {}",
+        index.len(),
+        sensors.len()
+    );
+}
+
+/// The index a public entry point works with: the caller's, checked
+/// against `sensors`, or one built over `sensors` when the caller gave
+/// none.
+pub(crate) fn resolve_index<'a>(
+    index: Option<&'a SensorIndex>,
+    sensors: &[SensorSnapshot],
+) -> Cow<'a, SensorIndex> {
+    match index {
+        Some(idx) => {
+            check_index(idx, sensors);
+            Cow::Borrowed(idx)
+        }
+        None => Cow::Owned(build_index(sensors)),
+    }
+}
+
 /// Exact-coordinate key; queried locations in the experiments are drawn
 /// from a discrete grid, so sharing only happens on exact collisions —
 /// the paper's `Q_l` semantics.
@@ -198,19 +236,18 @@ pub(crate) fn group_by_location(queries: &[PointQuery]) -> Vec<Vec<usize>> {
 /// Builds the Eq. 9 welfare problem: clients are locations, facilities are
 /// sensors, `v_l(s) = Σ_{q∈Q_l} v_q(θ(s, l))`.
 ///
-/// With an index (built over the same snapshot slice), each location's
-/// candidate sensors come from the `d_max` disk around it — exactly the
-/// `in_range` predicate, in the same ascending order — so the problem is
-/// bit-identical to the brute-force build. The per-client evaluation is
-/// sharded across `threads` (contiguous client ranges, partials
-/// concatenated in range order), which also leaves the problem
-/// bit-identical for every thread count.
+/// Each location's candidate sensors come from the `d_max` disk around
+/// it in `index` (built over the same snapshot slice): exactly the
+/// sensors the `in_range` predicate accepts, in ascending order. The
+/// per-client evaluation is sharded across `threads` (contiguous client
+/// ranges, partials concatenated in range order), which leaves the
+/// problem bit-identical for every thread count.
 pub(crate) fn build_welfare_problem(
     queries: &[PointQuery],
     groups: &[Vec<usize>],
     sensors: &[SensorSnapshot],
     quality: &QualityModel,
-    index: Option<&SensorIndex>,
+    index: &SensorIndex,
     threads: Threads,
 ) -> WelfareProblem {
     let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
@@ -234,13 +271,8 @@ pub(crate) fn build_welfare_problem(
                         .sum();
                     (v > 0.0).then_some((si, v))
                 };
-                match index {
-                    Some(idx) => {
-                        idx.query_disk_into(loc, quality.d_max, &mut buf);
-                        buf.iter().filter_map(|&si| value_of(si)).collect()
-                    }
-                    None => (0..sensors.len()).filter_map(value_of).collect(),
-                }
+                index.query_disk_into(loc, quality.d_max, &mut buf);
+                buf.iter().filter_map(|&si| value_of(si)).collect()
             })
             .collect::<Vec<Vec<(usize, f64)>>>()
     });
@@ -251,10 +283,11 @@ pub(crate) fn build_welfare_problem(
 /// The Eq. 9 path every facility-location scheduler shares: group the
 /// queries by location, build the welfare problem, run `solve` on it, and
 /// price the solution with [`allocation_from_solution`]. A scheduler
-/// contributes only its `solve` step. Only the build uses `index` and
-/// shards across `threads` (see [`build_welfare_problem`]); `solve` and
-/// the pricing run serially on the identical problem, so the schedule is
-/// bit-identical with and without the index and for every thread count.
+/// contributes only its `solve` step. Only the build uses the index
+/// (resolved by [`resolve_index`]) and shards across `threads` (see
+/// [`build_welfare_problem`]); `solve` and the pricing run serially on
+/// the identical problem, so the schedule is bit-identical for every
+/// thread count.
 pub(crate) fn schedule_welfare(
     queries: &[PointQuery],
     sensors: &[SensorSnapshot],
@@ -263,11 +296,12 @@ pub(crate) fn schedule_welfare(
     threads: Threads,
     solve: impl FnOnce(&WelfareProblem, &[Vec<usize>]) -> WelfareSolution,
 ) -> PointAllocation {
+    let index = resolve_index(index, sensors);
     if queries.is_empty() || sensors.is_empty() {
         return PointAllocation::empty(queries.len());
     }
     let groups = group_by_location(queries);
-    let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
+    let problem = build_welfare_problem(queries, &groups, sensors, quality, &index, threads);
     let solution = solve(&problem, &groups);
     allocation_from_solution(queries, &groups, sensors, quality, &problem, &solution)
 }
@@ -416,7 +450,7 @@ mod tests {
             &groups,
             &sensors,
             &quality,
-            None,
+            &build_index(&sensors),
             Threads::single(),
         );
         assert_eq!(p.num_clients(), 1);
@@ -441,7 +475,7 @@ mod tests {
             &groups,
             &sensors,
             &quality,
-            None,
+            &build_index(&sensors),
             Threads::single(),
         );
         assert!(p.client_values[0].is_empty());
@@ -490,6 +524,28 @@ mod tests {
                 (true, single),
                 (true, four),
             ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SensorIndex covers 1 sensors but the announcement has 2")]
+    fn a_schedulers_index_must_cover_the_announcement() {
+        let queries = vec![pq(0, 0.0, 0.0, 10.0)];
+        let sensors: Vec<SensorSnapshot> = (0..2)
+            .map(|id| SensorSnapshot {
+                id,
+                loc: Point::new(id as f64, 0.0),
+                cost: 1.0,
+                trust: 1.0,
+                inaccuracy: 0.0,
+            })
+            .collect();
+        let short = build_index(&sensors[..1]);
+        optimal::GreedyPointScheduler.schedule_indexed(
+            &queries,
+            &sensors,
+            &QualityModel::new(5.0),
+            Some(&short),
         );
     }
 

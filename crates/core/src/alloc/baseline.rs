@@ -12,7 +12,9 @@
 //! selected sensors is set to zero for the subsequent queries in the time
 //! slot."
 
-use crate::alloc::{group_by_location, PointAllocation, PointAssignment, PointScheduler};
+use crate::alloc::{
+    check_index, group_by_location, resolve_index, PointAllocation, PointAssignment, PointScheduler,
+};
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
 use crate::query::PointQuery;
@@ -34,8 +36,8 @@ impl BaselinePointScheduler {
 
 impl PointScheduler for BaselinePointScheduler {
     /// Per query only the sensors in the `d_max` disk around its location
-    /// are examined when an index is given (the exact `in_range` set,
-    /// ascending), so the schedule is identical with and without it.
+    /// are examined: the index (the caller's, or one built here) returns
+    /// exactly the `in_range` set, ascending.
     ///
     /// The candidate evaluation — disk query, Eq. 4 in-range filter and
     /// quality θ — is sharded across `threads`, per **distinct queried
@@ -62,6 +64,7 @@ impl PointScheduler for BaselinePointScheduler {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
+        let index = resolve_index(index, sensors);
         let mut selected = vec![false; sensors.len()];
         // State-free phase, per distinct location: the in-range sensors
         // as (sensor, θ), ascending by sensor.
@@ -80,27 +83,11 @@ impl PointScheduler for BaselinePointScheduler {
             locations[range]
                 .iter()
                 .map(|&loc| {
-                    let mut cands: Vec<(usize, f64)> = Vec::new();
-                    let mut consider = |si: usize| {
-                        let s = &sensors[si];
-                        if quality.in_range(s, loc) {
-                            cands.push((si, quality.quality(s, loc)));
-                        }
-                    };
-                    match index {
-                        Some(idx) => {
-                            idx.query_disk_into(loc, quality.d_max, &mut buf);
-                            for &si in &buf {
-                                consider(si);
-                            }
-                        }
-                        None => {
-                            for si in 0..sensors.len() {
-                                consider(si);
-                            }
-                        }
-                    }
-                    cands
+                    index.query_disk_into(loc, quality.d_max, &mut buf);
+                    buf.iter()
+                        .filter(|&&si| quality.in_range(&sensors[si], loc))
+                        .map(|&si| (si, quality.quality(&sensors[si], loc)))
+                        .collect()
                 })
                 .collect::<Vec<_>>()
         });
@@ -192,24 +179,28 @@ pub struct BaselineSetOutcome {
 /// sensor set while utility improves, treating sensors in
 /// `already_selected` as free, then mark the new picks as selected.
 ///
-/// With a [`SensorIndex`] over the snapshot slice, candidates come from
-/// the valuation's [`SetValuation::support`] region (then the exact
-/// `is_relevant` filter), so the outcome is identical with and without
-/// the index.
+/// `index` is the [`SensorIndex`] over the snapshot slice. Candidates
+/// come from the valuation's [`SetValuation::support`] region in it
+/// (then the exact `is_relevant` filter); a valuation that declares no
+/// support is scanned against every sensor.
+///
+/// # Panics
+/// When `index` or `already_selected` does not cover exactly `sensors`.
 pub fn baseline_select_for_query(
     valuation: &mut dyn SetValuation,
     sensors: &[SensorSnapshot],
     already_selected: &mut [bool],
-    index: Option<&SensorIndex>,
+    index: &SensorIndex,
 ) -> BaselineSetOutcome {
     assert_eq!(sensors.len(), already_selected.len());
-    let candidates: Vec<usize> = match (index, valuation.support()) {
-        (Some(idx), Some(support)) => {
+    check_index(index, sensors);
+    let candidates: Vec<usize> = match valuation.support() {
+        Some(support) => {
             let mut out = Vec::new();
-            support.candidates_into(idx, &mut out);
+            support.candidates_into(index, &mut out);
             out
         }
-        _ => (0..sensors.len()).collect(),
+        None => (0..sensors.len()).collect(),
     };
     let mut newly_selected = Vec::new();
     let mut cost = 0.0;
@@ -255,6 +246,7 @@ pub fn baseline_select_for_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::build_index;
     use crate::model::QueryId;
     use crate::query::{AggregateKind, AggregateQuery, QueryOrigin};
     use crate::valuation::aggregate::AggregateValuation;
@@ -361,7 +353,7 @@ mod tests {
             },
         ];
         let mut already = vec![false; 2];
-        let out = baseline_select_for_query(&mut v, &sensors, &mut already, None);
+        let out = baseline_select_for_query(&mut v, &sensors, &mut already, &build_index(&sensors));
         assert_eq!(out.newly_selected.len(), 2);
         assert!((out.cost - 20.0).abs() < 1e-12);
         assert!(out.value > out.cost);
@@ -385,9 +377,24 @@ mod tests {
             inaccuracy: 0.0,
         }];
         let mut already = vec![true; 1]; // …but already bought by another query
-        let out = baseline_select_for_query(&mut v, &sensors, &mut already, None);
+        let out = baseline_select_for_query(&mut v, &sensors, &mut already, &build_index(&sensors));
         assert_eq!(out.newly_selected, vec![0]);
         assert_eq!(out.cost, 0.0);
         assert!(out.value > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "SensorIndex covers 2 sensors but the announcement has 1")]
+    fn a_set_querys_index_must_cover_the_announcement() {
+        let q = AggregateQuery {
+            id: QueryId(7),
+            region: Rect::new(0.0, 0.0, 10.0, 10.0),
+            budget: 20.0,
+            kind: AggregateKind::Average,
+        };
+        let mut v = AggregateValuation::new(&q, 6.0);
+        let sensors = vec![sensor(0, 5.0, 1.0), sensor(1, 6.0, 1.0)];
+        let long = build_index(&sensors);
+        baseline_select_for_query(&mut v, &sensors[..1], &mut [false], &long);
     }
 }

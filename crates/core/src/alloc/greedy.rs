@@ -13,16 +13,16 @@
 //! individual rationality, and the `O(|Q||S|²)` call bound — are verified
 //! by the tests below.
 //!
-//! [`greedy_select`] is the one entry point. Three scale mechanisms,
-//! selected by its `index` and `threads` arguments or always on, keep the
-//! loop fast without altering its choices:
+//! [`greedy_select`] is the one entry point. Three scale mechanisms keep
+//! the loop fast without altering its choices:
 //!
-//! * **Index-pruned relevance lists.** With a [`SensorIndex`] over the
-//!   slot's sensor locations, each valuation's
-//!   candidate sensors come from its [`SetValuation::support`] region
-//!   instead of a full `O(|Q||S|)` scan; the exact
-//!   [`SetValuation::is_relevant`] filter still runs on the candidates,
-//!   so the lists are identical to the brute-force ones.
+//! * **Index-pruned relevance lists.** Each valuation's candidate
+//!   sensors come from its [`SetValuation::support`] region in the
+//!   slot's [`SensorIndex`] instead of a full `O(|Q||S|)` scan; the
+//!   exact [`SetValuation::is_relevant`] filter still runs on the
+//!   candidates, so the lists hold exactly the relevant sensors. Only a
+//!   valuation that declares no support is scanned against every
+//!   sensor.
 //! * **Eager gain maintenance.** A sensor's gain only changes when one of
 //!   its relevant queries receives a commit, so after each selection the
 //!   loop recomputes gains for exactly the affected sensors and keeps all
@@ -37,6 +37,7 @@
 //!   serial build. The adaptive selection loop itself stays serial: each
 //!   pick conditions the next, and its per-pick refresh set is small.
 
+use crate::alloc::check_index;
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
 use crate::valuation::SetValuation;
@@ -94,26 +95,26 @@ impl Ord for Candidate {
 /// taken from the snapshots (callers wanting the Eq. 18 cost weighting
 /// pass pre-weighted snapshots).
 ///
-/// `index`, when given, is a [`SensorIndex`] built over the same snapshot
-/// slice (`index.len() == sensors.len()`); it prunes each valuation's
-/// candidate sensors through its [`SetValuation::support`]. The evaluate
-/// phases — per-query relevance lists and per-sensor initial gains —
-/// shard across `threads` scoped workers, with partial results merged in
-/// ascending range order. Selections, payments, and welfare are
-/// **bit-identical** with and without the index and for every thread
-/// count (see the [module docs](self)); the adaptive greedy loop stays
-/// serial.
+/// `index` is a [`SensorIndex`] built over the same snapshot slice; it
+/// prunes each valuation's candidate sensors through its
+/// [`SetValuation::support`]. The evaluate phases — per-query relevance
+/// lists and per-sensor initial gains — shard across `threads` scoped
+/// workers, with partial results merged in ascending range order.
+/// Selections, payments, and welfare are **bit-identical** for every
+/// thread count (see the [module docs](self)); the adaptive greedy loop
+/// stays serial.
+///
+/// # Panics
+/// When `index` was not built over exactly `sensors.len()` sensors.
 pub fn greedy_select(
     valuations: &mut [&mut dyn SetValuation],
     sensors: &[SensorSnapshot],
-    index: Option<&SensorIndex>,
+    index: &SensorIndex,
     threads: Threads,
 ) -> GreedySelection {
     let nq = valuations.len();
     let ns = sensors.len();
-    if let Some(idx) = index {
-        debug_assert_eq!(idx.len(), ns, "index built over a different slot");
-    }
+    check_index(index, sensors);
     // The CSR relevance lists below store u32 ids; fail loudly rather
     // than wrap into corrupted slices.
     assert!(
@@ -133,7 +134,7 @@ pub fn greedy_select(
     // query range, partial flats concatenated in range order — the same
     // pair sequence the serial loop produces); the counting-sort
     // inversion below visits queries in ascending order per sensor, so
-    // gain sums accumulate identically with and without the index.
+    // gain sums accumulate in the same order for every thread count.
     let views: Vec<&dyn SetValuation> = valuations.iter().map(|v| &**v as _).collect();
     // Floor: a relevance list costs one index query + a short filter
     // per query; don't spawn for fewer than 64 of them.
@@ -142,16 +143,16 @@ pub fn greedy_select(
         let mut ends: Vec<u32> = Vec::with_capacity(range.len());
         let mut buf: Vec<usize> = Vec::new();
         for v in &views[range] {
-            match (index, v.support()) {
-                (Some(idx), Some(support)) => {
-                    support.candidates_into(idx, &mut buf);
+            match v.support() {
+                Some(support) => {
+                    support.candidates_into(index, &mut buf);
                     for &si in &buf {
                         if v.is_relevant(&sensors[si]) {
                             flat.push(si as u32);
                         }
                     }
                 }
-                _ => {
+                None => {
                     for (si, s) in sensors.iter().enumerate() {
                         if v.is_relevant(s) {
                             flat.push(si as u32);
@@ -323,6 +324,7 @@ pub fn greedy_select(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::build_index;
     use crate::model::QueryId;
     use crate::query::{AggregateKind, AggregateQuery, PointQuery, QueryOrigin};
     use crate::valuation::aggregate::AggregateValuation;
@@ -357,7 +359,12 @@ mod tests {
         let mut v = AggregateValuation::new(&q, 10.0);
         let sensors = vec![sensor(0, 2.0, 2.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut v];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(
+            &mut vals,
+            &sensors,
+            &build_index(&sensors),
+            Threads::single(),
+        );
         assert!(out.selected.is_empty());
         assert_eq!(out.welfare, 0.0);
     }
@@ -372,7 +379,12 @@ mod tests {
         let mut vb = AggregateValuation::new(&qb, 10.0);
         let sensors = vec![sensor(0, 6.0, 6.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut va, &mut vb];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(
+            &mut vals,
+            &sensors,
+            &build_index(&sensors),
+            Threads::single(),
+        );
         assert_eq!(out.selected, vec![0]);
         assert!(out.welfare > 0.0);
         // Payments split in proportion to marginal value and cover cost.
@@ -428,7 +440,12 @@ mod tests {
                 .iter_mut()
                 .map(|v| v as &mut dyn SetValuation)
                 .collect();
-            let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+            let out = greedy_select(
+                &mut vals,
+                &sensors,
+                &build_index(&sensors),
+                Threads::single(),
+            );
 
             // Property 1 (via payments → they were derived from the δs,
             // and values must telescope): recomputed value equals the
@@ -502,7 +519,12 @@ mod tests {
             .iter_mut()
             .map(|v| v as &mut dyn SetValuation)
             .collect();
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(
+            &mut vals,
+            &sensors,
+            &build_index(&sensors),
+            Threads::single(),
+        );
         assert!(
             out.oracle_calls <= nq * ns * ns,
             "oracle calls {} exceed |Q||S|² = {}",
@@ -532,15 +554,44 @@ mod tests {
         let mut v1 = PointValuation::new(q1, quality);
         let sensors = vec![sensor(0, 0.5, 0.0, 10.0, 1.0)];
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut v0, &mut v1];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(
+            &mut vals,
+            &sensors,
+            &build_index(&sensors),
+            Threads::single(),
+        );
         assert_eq!(out.selected, vec![0]);
         assert!(out.welfare > 0.0);
         assert!(v0.best_sensor().is_some());
         assert!(v1.best_sensor().is_some());
     }
 
-    /// Pruning candidates through a `SensorIndex` must not change a
-    /// single selection, payment, or welfare bit.
+    /// Forwards everything to the wrapped valuation except
+    /// [`SetValuation::support`], which it hides, so [`greedy_select`]
+    /// scans every sensor for it instead of querying the index.
+    struct Unsupported<'a>(&'a mut dyn SetValuation);
+
+    impl SetValuation for Unsupported<'_> {
+        fn current_value(&self) -> f64 {
+            self.0.current_value()
+        }
+        fn marginal(&self, sensor: &SensorSnapshot) -> f64 {
+            self.0.marginal(sensor)
+        }
+        fn commit(&mut self, sensor: &SensorSnapshot) {
+            self.0.commit(sensor)
+        }
+        fn is_relevant(&self, sensor: &SensorSnapshot) -> bool {
+            self.0.is_relevant(sensor)
+        }
+        fn max_value(&self) -> f64 {
+            self.0.max_value()
+        }
+    }
+
+    /// Pruning candidates through the index must not change a single
+    /// selection, payment, or welfare bit against the full scan that
+    /// valuations without a support get.
     #[test]
     fn indexed_selection_is_identical_to_brute_force() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -583,8 +634,9 @@ mod tests {
                 })
                 .collect();
             let quality = QualityModel::new(5.0);
+            let idx = build_index(&sensors);
 
-            let run = |index: Option<&SensorIndex>| {
+            let run = |hide_support: bool| {
                 let mut aggs: Vec<AggregateValuation> = queries
                     .iter()
                     .map(|q| AggregateValuation::new(q, 4.0))
@@ -600,13 +652,18 @@ mod tests {
                 for v in &mut pts {
                     vals.push(v);
                 }
-                greedy_select(&mut vals, &sensors, index, Threads::single())
+                assert!(vals.iter().all(|v| v.support().is_some()));
+                if !hide_support {
+                    return greedy_select(&mut vals, &sensors, &idx, Threads::single());
+                }
+                let mut hidden: Vec<Unsupported> = vals.into_iter().map(Unsupported).collect();
+                let mut vals: Vec<&mut dyn SetValuation> =
+                    hidden.iter_mut().map(|v| v as _).collect();
+                greedy_select(&mut vals, &sensors, &idx, Threads::single())
             };
 
-            let positions: Vec<Point> = sensors.iter().map(|s| s.loc).collect();
-            let idx = SensorIndex::build(&positions);
-            let brute = run(None);
-            let indexed = run(Some(&idx));
+            let brute = run(true);
+            let indexed = run(false);
             assert_eq!(brute.selected, indexed.selected, "trial {trial}");
             assert_eq!(brute.welfare, indexed.welfare, "trial {trial}");
             assert_eq!(brute.total_cost, indexed.total_cost, "trial {trial}");
@@ -615,7 +672,16 @@ mod tests {
                 "trial {trial}"
             );
             assert_eq!(brute.per_query_value, indexed.per_query_value);
+            assert_eq!(brute.oracle_calls, indexed.oracle_calls, "trial {trial}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SensorIndex covers 1 sensors but the announcement has 2")]
+    fn the_index_must_cover_the_announcement() {
+        let sensors = vec![sensor(0, 1.0, 1.0, 1.0, 1.0), sensor(1, 2.0, 2.0, 1.0, 1.0)];
+        let short = build_index(&sensors[..1]);
+        greedy_select(&mut [], &sensors, &short, Threads::single());
     }
 
     #[test]
@@ -642,7 +708,12 @@ mod tests {
         let mut va = AggregateValuation::new(&qa, 4.0);
         let mut vb = AggregateValuation::new(&qb, 4.0);
         let mut vals: Vec<&mut dyn SetValuation> = vec![&mut va, &mut vb];
-        let out = greedy_select(&mut vals, &sensors, None, Threads::single());
+        let out = greedy_select(
+            &mut vals,
+            &sensors,
+            &build_index(&sensors),
+            Threads::single(),
+        );
         assert_eq!(out.selected[0], expected_first);
     }
 }

@@ -162,7 +162,7 @@ mod tests {
             &groups,
             &sensors,
             &quality,
-            None,
+            &crate::alloc::build_index(&sensors),
             Threads::single(),
         );
         let f = FnSet::new(sensors.len(), |set| {

@@ -15,7 +15,8 @@
 //! optimality gap).
 
 use crate::alloc::{
-    build_welfare_problem, group_by_location, schedule_welfare, PointAllocation, PointScheduler,
+    build_welfare_problem, group_by_location, resolve_index, schedule_welfare, PointAllocation,
+    PointScheduler,
 };
 use crate::exec::Threads;
 use crate::model::SensorSnapshot;
@@ -202,14 +203,15 @@ impl<S: PointScheduler> PointScheduler for WithLpBound<S> {
         index: Option<&SensorIndex>,
         threads: Threads,
     ) -> PointAllocation {
-        let mut alloc = self
-            .inner
-            .schedule_sharded(queries, sensors, quality, index, threads);
+        let index = resolve_index(index, sensors);
+        let mut alloc =
+            self.inner
+                .schedule_sharded(queries, sensors, quality, Some(&index), threads);
         if queries.is_empty() || sensors.is_empty() {
             return alloc;
         }
         let groups = group_by_location(queries);
-        let problem = build_welfare_problem(queries, &groups, sensors, quality, index, threads);
+        let problem = build_welfare_problem(queries, &groups, sensors, quality, &index, threads);
         let bound = ufl::lp_relaxation_bound(&problem, self.max_pivots);
         alloc.lp_bound = Some(bound.max(alloc.welfare));
         alloc

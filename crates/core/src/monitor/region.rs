@@ -13,6 +13,7 @@
 //! prints `w(k) = 11 − k (k < 10)` while defining `w` as a `[0, 1]`-valued
 //! *reduction* factor, so we read it as `(11 − k)/10` — see DESIGN.md §3.
 
+use crate::alloc::resolve_index;
 use crate::model::{QueryId, SensorSnapshot, Slot};
 use crate::query::{PointQuery, QueryOrigin};
 use crate::valuation::region::RegionValuation;
@@ -149,10 +150,14 @@ impl RegionMonitor {
     /// no sharing applies). `make_id` mints identifiers for the generated
     /// point queries; `monitor_index` routes results back.
     ///
-    /// With an optional [`SensorIndex`] over the snapshot slice, the
-    /// `S_{r,t}` candidate set comes from a rectangle query instead of a
-    /// full scan. The index returns exactly the in-region sensors in
-    /// ascending order, so the plan is identical with and without it.
+    /// The `S_{r,t}` candidate set comes from a rectangle query on
+    /// `index`, a [`SensorIndex`] over the snapshot slice (built here
+    /// when `None`). The index returns exactly the in-region sensors in
+    /// ascending order.
+    ///
+    /// # Panics
+    /// When `weighted_cost` or a given `index` does not cover exactly
+    /// `sensors`.
     pub fn plan_indexed(
         &self,
         t: Slot,
@@ -163,6 +168,7 @@ impl RegionMonitor {
         index: Option<&SensorIndex>,
     ) -> RegionPlan {
         assert_eq!(sensors.len(), weighted_cost.len());
+        let index = resolve_index(index, sensors);
         if !self.is_active(t) {
             return RegionPlan::empty();
         }
@@ -172,12 +178,7 @@ impl RegionMonitor {
         }
 
         // Candidates: sensors inside the region (S_{r,t}).
-        let candidates: Vec<usize> = match index {
-            Some(idx) => idx.query_rect(&self.region),
-            None => (0..sensors.len())
-                .filter(|&i| self.region.contains(sensors[i].loc))
-                .collect(),
-        };
+        let candidates = index.query_rect(&self.region);
         if candidates.is_empty() {
             return RegionPlan::empty();
         }
@@ -399,8 +400,8 @@ mod tests {
         }
     }
 
-    /// Plans without an index, minting ids from a fresh counter.
-    fn plan_unindexed(
+    /// Plans over an index built here, minting ids from a fresh counter.
+    fn plan_fresh(
         m: &RegionMonitor,
         t: Slot,
         sensors: &[SensorSnapshot],
@@ -415,6 +416,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "SensorIndex covers 1 sensors but the announcement has 2")]
+    fn a_plans_index_must_cover_the_announcement() {
+        let m = monitor(60.0, 0, 10);
+        let sensors = vec![sensor(0, 2.0, 2.0), sensor(1, 6.0, 4.0)];
+        let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
+        let short = crate::alloc::build_index(&sensors[..1]);
+        m.plan_indexed(0, &sensors, &costs, 0, &mut || QueryId(1), Some(&short));
+    }
+
+    #[test]
     fn plan_selects_sensors_inside_region() {
         let m = monitor(60.0, 0, 10);
         let sensors = vec![
@@ -423,7 +434,7 @@ mod tests {
             sensor(2, 20.0, 20.0), // outside
         ];
         let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let plan = plan_unindexed(&m, 0, &sensors, &costs);
+        let plan = plan_fresh(&m, 0, &sensors, &costs);
         assert!(!plan.queries.is_empty());
         for pq in &plan.queries {
             assert_ne!(pq.sensor, 2, "outside sensor must not be planned");
@@ -439,7 +450,7 @@ mod tests {
         let m = monitor(15.0, 0, 10);
         let sensors: Vec<SensorSnapshot> = (0..6).map(|i| sensor(i, 1.0 + i as f64, 3.0)).collect();
         let costs: Vec<f64> = sensors.iter().map(|s| s.cost).collect();
-        let plan = plan_unindexed(&m, 0, &sensors, &costs);
+        let plan = plan_fresh(&m, 0, &sensors, &costs);
         assert!(plan.queries.len() <= 2);
     }
 
@@ -448,7 +459,7 @@ mod tests {
         let m = monitor(60.0, 5, 10);
         let sensors = vec![sensor(0, 2.0, 2.0)];
         let costs = vec![10.0];
-        let plan = plan_unindexed(&m, 2, &sensors, &costs);
+        let plan = plan_fresh(&m, 2, &sensors, &costs);
         assert!(plan.queries.is_empty());
     }
 
@@ -509,7 +520,7 @@ mod tests {
         assert!(m.remaining_budget() < 1e-9);
         let sensors = vec![sensor(1, 2.0, 2.0)];
         let costs = vec![10.0];
-        let p2 = plan_unindexed(&m, 1, &sensors, &costs);
+        let p2 = plan_fresh(&m, 1, &sensors, &costs);
         assert!(p2.queries.is_empty());
     }
 }

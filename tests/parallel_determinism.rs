@@ -3,8 +3,6 @@
 //! **bit-identical** results — same `SlotReport`s (welfare bits,
 //! selections, per-query payments), same cumulative ledgers, same
 //! retired-monitor statistics — on the same seeded standing stream.
-//! This mirrors the `spatial_index` equivalence contract of
-//! `tests/index_equivalence.rs`, one abstraction layer up.
 
 use proptest::prelude::*;
 use ps_core::aggregator::{Aggregator, AggregatorBuilder, SlotReport};

@@ -9,7 +9,9 @@
 //! per-sensor receipts, `sensors_used`, the point/aggregate/custom
 //! results, the retired monitors and the id counter, so any change to
 //! selection, payments, welfare accumulation order or id minting order
-//! shows up as a changed constant.
+//! shows up as a changed constant. A second set of pins runs a
+//! 600-sensor standing mix through joint Algorithm 5 and every point
+//! scheduler.
 //!
 //! The constants are part of the engine's contract: a refactor of the
 //! pipeline must leave them untouched. FNV-1a is written out by hand
@@ -22,8 +24,10 @@ use ps_core::aggregator::{
     PointSpec, RegionMonitorSpec, SlotReport,
 };
 use ps_core::alloc::baseline::BaselinePointScheduler;
+use ps_core::alloc::egalitarian::EgalitarianScheduler;
 use ps_core::alloc::local_search::LocalSearchScheduler;
 use ps_core::alloc::optimal::{GreedyPointScheduler, OptimalScheduler, WithLpBound};
+use ps_core::alloc::PointScheduler;
 use ps_core::model::{QueryId, SensorSnapshot};
 use ps_core::payment::Ledger;
 use ps_core::query::AggregateKind;
@@ -34,8 +38,12 @@ use ps_core::valuation::region::RegionValuation;
 use ps_core::valuation::{SetValuation, SpatialSupport};
 use ps_geo::{Point, Rect};
 use ps_gp::kernel::SquaredExponential;
+use ps_sim::config::Scale;
+use ps_sim::workload::{test_monitoring_ctx, StandingMixProfile};
 use ps_stats::regression::DiurnalBasis;
 use ps_stats::TimeSeries;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -565,5 +573,114 @@ fn sequential_baseline_with_the_baseline_scheduler_is_the_sequential_baseline() 
         run_engine(explicit, Drive::Batch),
         run_engine(plain, Drive::Batch),
         "an explicit BaselinePointScheduler changed the sequential baseline"
+    );
+}
+
+// ── The 600-sensor standing mix ──────────────────────────────────────────
+//
+// The inputs above announce 70 sensors. These pins run a larger mixed
+// standing stream, 600 sensors with every query type, through joint
+// Algorithm 5 and through each point scheduler. Their constants were
+// recorded from the engine's former brute-force candidate scans (full
+// scans of the announcement instead of `SensorIndex` queries) and
+// matched the indexed engine bit for bit, so they hold the index path
+// to the scan results it replaced.
+
+fn standing_mix() -> StandingMixProfile {
+    let mut p = StandingMixProfile::from_scale(&Scale::test());
+    p.sensors = 600;
+    p.points_per_slot = 200;
+    p.aggregates_mean = 3;
+    p.location_monitors = 6;
+    p.region_monitors = 4;
+    p
+}
+
+fn run_standing_mix(mut engine: Aggregator<'_>, slots: usize) -> u64 {
+    let p = standing_mix();
+    let ctx = test_monitoring_ctx();
+    let kernel = SquaredExponential::new(2.0, 2.0);
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut h = Fnv::new();
+    let mut served = 0;
+    for t in 0..slots {
+        p.submit_slot(&mut rng, t, &mut engine, &ctx, &kernel);
+        let sensors = p.sensors(&mut rng);
+        let report = engine.step(t, &sensors);
+        served += report.breakdown.point_satisfied + report.breakdown.monitor_samples;
+        let ids = [1..=engine.next_query_id()];
+        hash_report(&mut h, &report, &ids);
+        hash_retired(&mut h, engine.retired_monitors());
+        h.u64(engine.next_query_id());
+    }
+    assert!(served > 0, "the standing mix served nothing");
+    h.0
+}
+
+fn check_scheduled_mix(label: &str, scheduler: impl PointScheduler + 'static, want: u64) {
+    let e = engine(|b| b.scheduler(scheduler));
+    check(label, run_standing_mix(e, 4), want);
+}
+
+#[test]
+fn standing_mix_joint_selection() {
+    check(
+        "mix/alg5",
+        run_standing_mix(engine(|b| b), 6),
+        0x3728_6725_fd05_763e,
+    );
+}
+
+#[test]
+fn standing_mix_with_optimal_scheduler() {
+    check_scheduled_mix(
+        "mix/optimal",
+        OptimalScheduler::new(),
+        0x1c7b_8754_478b_2b05,
+    );
+}
+
+#[test]
+fn standing_mix_with_local_search_scheduler() {
+    check_scheduled_mix(
+        "mix/local_search",
+        LocalSearchScheduler::new(),
+        0x10e5_e821_7a36_ca5e,
+    );
+}
+
+#[test]
+fn standing_mix_with_greedy_scheduler() {
+    check_scheduled_mix(
+        "mix/greedy",
+        GreedyPointScheduler::new(),
+        0x10e5_e821_7a36_ca5e,
+    );
+}
+
+#[test]
+fn standing_mix_with_certified_greedy_scheduler() {
+    check_scheduled_mix(
+        "mix/lp_bound(greedy)",
+        WithLpBound::new(GreedyPointScheduler::new()),
+        0xdc2e_b4d3_ef7d_99a5,
+    );
+}
+
+#[test]
+fn standing_mix_with_baseline_scheduler() {
+    check_scheduled_mix(
+        "mix/baseline",
+        BaselinePointScheduler::new(),
+        0x018b_0951_7816_3d18,
+    );
+}
+
+#[test]
+fn standing_mix_with_egalitarian_scheduler() {
+    check_scheduled_mix(
+        "mix/egalitarian",
+        EgalitarianScheduler::new(),
+        0xecb9_f1c7_ddce_9642,
     );
 }
